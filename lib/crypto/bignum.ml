@@ -123,29 +123,6 @@ let divmod_small a d =
   done;
   (normalize q, !r)
 
-let rem_int a d =
-  if d <= 0 then raise Division_by_zero;
-  if d < base then begin
-    let r = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      r := ((!r lsl limb_bits) lor a.(i)) mod d
-    done;
-    !r
-  end
-  else begin
-    (* Modulus wider than one limb: (r*2^26 + limb) may overflow, so
-       double-and-reduce bit by bit. d < 2^62 keeps each step in range. *)
-    let r = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      let x = ref (!r mod d) in
-      for _ = 1 to limb_bits do
-        x := !x * 2 mod d
-      done;
-      r := (!x + (a.(i) mod d)) mod d
-    done;
-    !r
-  end
-
 let shift_left a bits =
   if bits < 0 then invalid_arg "Bignum.shift_left";
   if is_zero a || bits = 0 then a
@@ -272,10 +249,135 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+let rem_int a d =
+  if d <= 0 then raise Division_by_zero;
+  if d < base then begin
+    let r = ref 0 in
+    for i = Array.length a - 1 downto 0 do
+      r := ((!r lsl limb_bits) lor a.(i)) mod d
+    done;
+    !r
+  end
+  else to_int (rem a (of_int d))
+
+(* Host-side work counters, in the style of [Sha1.bytes_hashed]: one
+   atomic add per [mod_pow] call, so sharded fleets may exponentiate from
+   several domains at once. *)
+let mod_pow_calls_total = Atomic.make 0
+let limb_products_total = Atomic.make 0
+let mod_pow_calls () = Atomic.get mod_pow_calls_total
+let limb_products () = Atomic.get limb_products_total
+
+(* [-m0^-1 mod 2^26] for odd [m0] by Newton iteration. [m0 * m0 = 1 mod 8],
+   so [x = m0] starts with 3 correct bits and each step doubles them:
+   3 -> 6 -> 12 -> 24 -> 48. Products wrap mod 2^63, which is exact mod
+   2^26. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land mask
+  done;
+  -(!x) land mask
+
+(* [t >= m] over the low [i + 1] limbs, most significant first. *)
+let rec limbs_geq t m i = i < 0 || t.(i) > m.(i) || (t.(i) = m.(i) && limbs_geq t m (i - 1))
+
+(* Montgomery product [dst <- a * b / R mod m], R = 2^(26n), over
+   n-limb zero-padded operands below [m], by coarsely integrated operand
+   scanning. Each outer step adds [a * b_i] and the multiple [q * m] that
+   clears the low limb, then shifts [t] down one limb; every sum is at
+   most 2^26 + 2 * 2^52 + 2^28, well inside the native int. [t] (n + 1
+   limbs) stays below 2m, so one conditional subtraction finishes. [dst]
+   may alias [a] or [b]: they are read only before [t] is copied out.
+   Every index stays inside the n-limb operands and [t], so the loops
+   skip bounds checks (about a quarter of the product's time). *)
+let mont_mul ~m ~minv ~n ~t dst doff a aoff b boff =
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = Array.unsafe_get b (boff + i) in
+    let u = Array.unsafe_get t 0 + (Array.unsafe_get a aoff * bi) in
+    let q = (u land mask) * minv land mask in
+    let c = ref ((u + (q * Array.unsafe_get m 0)) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s =
+        Array.unsafe_get t j
+        + (Array.unsafe_get a (aoff + j) * bi)
+        + (q * Array.unsafe_get m j)
+        + !c
+      in
+      Array.unsafe_set t (j - 1) (s land mask);
+      c := s lsr limb_bits
+    done;
+    let s = Array.unsafe_get t n + !c in
+    Array.unsafe_set t (n - 1) (s land mask);
+    Array.unsafe_set t n (s lsr limb_bits)
+  done;
+  if t.(n) > 0 || limbs_geq t m (n - 1) then begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      dst.(doff + i) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst doff n
+
+(* Fixed-window exponentiation in Montgomery form for odd [m > 1]. The
+   window is 1 bit for exponents of at most 64 bits (the public exponent
+   65537 would pay more for a table than it saves) and 4 bits otherwise.
+   [table] slot k holds b^k * R mod m for k >= 1; the accumulator and
+   the Montgomery scratch are the only other buffers. *)
+let mod_pow_odd b exp m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) in
+  let padded x =
+    let r = Array.make n 0 in
+    Array.blit x 0 r 0 (Array.length x);
+    r
+  in
+  let ebits = bit_length exp in
+  let w = if ebits <= 64 then 1 else 4 in
+  let slots = 1 lsl w in
+  let table = Array.make (slots * n) 0 in
+  let acc = Array.make n 0 and t = Array.make (n + 1) 0 in
+  let products = ref 0 in
+  let mont dst doff a aoff b boff =
+    mont_mul ~m ~minv ~n ~t dst doff a aoff b boff;
+    products := !products + (2 * n * n)
+  in
+  let r2 = padded (rem (shift_left one (2 * limb_bits * n)) m) in
+  mont table n (padded (if compare b m < 0 then b else rem b m)) 0 r2 0;
+  for k = 2 to slots - 1 do
+    mont table (k * n) table ((k - 1) * n) table n
+  done;
+  let window k =
+    let lo = k * w in
+    let limb = lo / limb_bits and off = lo mod limb_bits in
+    let get i = if i < Array.length exp then exp.(i) else 0 in
+    ((get limb lsr off) lor (get (limb + 1) lsl (limb_bits - off))) land (slots - 1)
+  in
+  let windows = (ebits + w - 1) / w in
+  Array.blit table (window (windows - 1) * n) acc 0 n;
+  for k = windows - 2 downto 0 do
+    for _ = 1 to w do
+      mont acc 0 acc 0 acc 0
+    done;
+    let v = window k in
+    if v > 0 then mont acc 0 acc 0 table (v * n)
+  done;
+  mont acc 0 acc 0 (padded one) 0;
+  ignore (Atomic.fetch_and_add limb_products_total !products);
+  normalize acc
+
 let mod_pow ~base:b ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
+  Atomic.incr mod_pow_calls_total;
   if equal modulus one then zero
+  else if is_zero exp then one
+  else if not (is_even modulus) then mod_pow_odd b exp modulus
   else begin
+    (* Even moduli have no Montgomery form: square-and-multiply with a
+       full division per step. *)
     let b = rem b modulus in
     let result = ref one and acc = ref b in
     let nbits = bit_length exp in
@@ -318,21 +420,41 @@ let mod_inverse a m =
     | other -> other
   end
 
+(* The codecs repack bits between bytes and 26-bit limbs directly,
+   least significant end first, carrying fewer than 34 pending bits. *)
 let of_bytes_be s =
-  let r = ref zero in
-  String.iter (fun c -> r := add_int (shift_left !r 8) (Char.code c)) s;
-  !r
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      r.(!k) <- !acc land mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits
+    end
+  done;
+  if !bits > 0 then r.(!k) <- !acc;
+  normalize r
 
 let to_bytes_be ?pad_to a =
   let nbytes = (bit_length a + 7) / 8 in
-  let b = Bytes.make nbytes '\000' in
-  let v = ref a in
-  for i = nbytes - 1 downto 0 do
-    Bytes.set b i (Char.chr (rem_int !v 256));
-    v := shift_right !v 8
+  let total = match pad_to with Some p -> max p nbytes | None -> nbytes in
+  let b = Bytes.make total '\000' in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = total - 1 downto total - nbytes do
+    if !bits < 8 && !k < Array.length a then begin
+      acc := !acc lor (a.(!k) lsl !bits);
+      incr k;
+      bits := !bits + limb_bits
+    end;
+    Bytes.unsafe_set b i (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    bits := !bits - 8
   done;
-  let s = Bytes.unsafe_to_string b in
-  match pad_to with None -> s | Some n -> Util.pad_left '\000' n s
+  Bytes.unsafe_to_string b
 
 let of_hex h =
   let h = if String.length h mod 2 = 1 then "0" ^ h else h in

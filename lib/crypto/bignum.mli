@@ -3,8 +3,9 @@
     The RSA implementation needs multi-precision arithmetic and no bignum
     library is available in the sealed environment, so this module provides
     one from scratch: little-endian arrays of 26-bit limbs, with schoolbook
-    multiplication and Knuth Algorithm D division. All values are
-    non-negative; subtraction of a larger value raises. *)
+    multiplication, Knuth Algorithm D division, and Montgomery
+    multiplication for modular exponentiation by an odd modulus. All
+    values are non-negative; subtraction of a larger value raises. *)
 
 type t
 
@@ -37,8 +38,9 @@ val rem : t -> t -> t
 val add_int : t -> int -> t
 val mul_int : t -> int -> t
 val rem_int : t -> int -> int
-(** Remainder by a small positive int, computed without allocation of a
-    full quotient. *)
+(** Remainder by a positive int. Divisors below 2{^26} are computed
+    without allocating a quotient. @raise Division_by_zero if the divisor
+    is not positive. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
@@ -48,8 +50,20 @@ val bit_length : t -> int
 val test_bit : t -> int -> bool
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Modular exponentiation by square-and-multiply.
+(** Modular exponentiation. Odd moduli use Montgomery multiplication with
+    a fixed window (1 bit for exponents of at most 64 bits, 4 bits
+    otherwise); even moduli use square-and-multiply with a division per
+    step. [base] may exceed [modulus].
     @raise Division_by_zero if [modulus] is zero. *)
+
+val mod_pow_calls : unit -> int
+(** [mod_pow] calls since process start, over all domains. Host-side
+    instrumentation, like {!Sha1.bytes_hashed}: it never touches a
+    simulated metric, and for a seeded computation it is a fixed count. *)
+
+val limb_products : unit -> int
+(** 26-bit limb multiplications done by [mod_pow]'s Montgomery products
+    (odd moduli) since process start. *)
 
 val gcd : t -> t -> t
 

@@ -62,7 +62,14 @@ let test_rem_int () =
   let d = (1 lsl 40) + 123 in
   let a = dec "123456789012345678901234567890" in
   let _, r = B.divmod a (B.of_int d) in
-  Alcotest.(check int) "wide" (B.to_int r) (B.rem_int a d)
+  Alcotest.(check int) "wide" (B.to_int r) (B.rem_int a d);
+  (* divisors above 2^61: a bit-by-bit doubling of the remainder would
+     overflow the native int and come out negative *)
+  let d = max_int - 1 in
+  Alcotest.(check int) "above 2^61" 12345
+    (B.rem_int (B.add_int (B.shift_left (B.of_int d) 30) 12345) d);
+  let a = B.sub (B.shift_left B.one 200) B.one in
+  Alcotest.(check int) "max_int" (B.to_int (B.rem a (B.of_int max_int))) (B.rem_int a max_int)
 
 let test_shifts () =
   check_dec "shl" "1024" (B.shift_left B.one 10);
@@ -133,6 +140,12 @@ let test_bytes_roundtrip () =
     (B.to_decimal_string (B.of_bytes_be (B.to_bytes_be v)));
   Alcotest.(check int) "padded length" 32 (String.length (B.to_bytes_be ~pad_to:32 v));
   Alcotest.(check string) "zero encoding" "" (B.to_bytes_be B.zero);
+  Alcotest.(check string) "zero padded" "\000\000\000" (B.to_bytes_be ~pad_to:3 B.zero);
+  Alcotest.(check string) "pad_to shorter than value" "\001\002"
+    (B.to_bytes_be ~pad_to:1 (B.of_int 258));
+  Alcotest.(check int) "leading zero bytes" 258 (B.to_int (B.of_bytes_be "\000\000\001\002"));
+  Alcotest.(check bool) "empty is zero" true (B.is_zero (B.of_bytes_be ""));
+  Alcotest.(check bool) "zero bytes are zero" true (B.is_zero (B.of_bytes_be "\000\000"));
   Alcotest.(check string) "hex" "0102" (B.to_hex (B.of_int 258))
 
 let test_decimal_errors () =
@@ -198,6 +211,72 @@ let prop_shift =
     (QCheck.pair arb_bignum (QCheck.int_range 0 80)) (fun (v, k) ->
       B.equal (B.shift_left v k) (B.mul v (B.mod_pow ~base:B.two ~exp:(B.of_int k) ~modulus:(B.shift_left B.one 200))))
 
+(* The square-and-multiply loop with a full division per step: the
+   reference [mod_pow] is checked against. *)
+let reference_mod_pow b e m =
+  if B.equal m B.one then B.zero
+  else begin
+    let result = ref B.one and acc = ref (B.rem b m) in
+    for i = 0 to B.bit_length e - 1 do
+      if B.test_bit e i then result := B.rem (B.mul !result !acc) m;
+      acc := B.rem (B.mul !acc !acc) m
+    done;
+    !result
+  end
+
+(* A natural number below 2^bits from uniform random bytes. *)
+let gen_nat bits =
+  QCheck.Gen.map
+    (fun s -> B.shift_right (B.of_bytes_be s) ((8 * String.length s) - bits))
+    (QCheck.Gen.string_size (QCheck.Gen.return ((bits + 7) / 8)))
+
+(* Moduli of 1-1100 bits: odd, even, one, and with all-ones top limbs;
+   exponents 0, 1, up to 64 bits (1-bit window) and above (4-bit
+   window); bases zero or up to 40 bits wider than the modulus. *)
+let gen_mod_pow_case =
+  let open QCheck.Gen in
+  int_range 1 1100 >>= fun bits ->
+  let nonzero v = if B.is_zero v then B.one else v in
+  oneof
+    [
+      map nonzero (gen_nat bits);
+      map (fun v -> if B.is_even v then B.add_int v 1 else v) (gen_nat bits);
+      map (fun v -> nonzero (B.shift_left (B.shift_right v 1) 1)) (gen_nat bits);
+      map (fun v -> B.sub (B.shift_left B.one bits) (B.add_int v 1)) (gen_nat (bits / 2));
+      return B.one;
+    ]
+  >>= fun m ->
+  oneof
+    [ return B.zero; return B.one; int_range 1 64 >>= gen_nat; int_range 65 200 >>= gen_nat ]
+  >>= fun e ->
+  oneof [ return B.zero; int_range 0 40 >>= fun extra -> gen_nat (B.bit_length m + extra) ]
+  >|= fun b -> (b, e, m)
+
+let prop_mod_pow_reference =
+  QCheck.Test.make ~name:"mod_pow matches square-and-multiply" ~count:300
+    (QCheck.make
+       ~print:(fun (b, e, m) -> Printf.sprintf "base=%s exp=%s modulus=%s" (B.to_hex b) (B.to_hex e) (B.to_hex m))
+       gen_mod_pow_case)
+    (fun (b, e, m) -> B.equal (B.mod_pow ~base:b ~exp:e ~modulus:m) (reference_mod_pow b e m))
+
+(* Byte strings with up to three leading zero bytes. *)
+let arb_bytes =
+  QCheck.make ~print:Util.to_hex
+    QCheck.Gen.(
+      map2 (fun z s -> String.make z '\000' ^ s) (int_range 0 3) (string_size (int_range 0 80)))
+
+let prop_codec =
+  QCheck.Test.make ~name:"byte codecs vs per-byte reference" ~count:500 arb_bytes (fun s ->
+      let v = B.of_bytes_be s in
+      let per_byte = ref B.zero in
+      String.iter (fun c -> per_byte := B.add_int (B.mul_int !per_byte 256) (Char.code c)) s;
+      let rec strip i = if i < String.length s && s.[i] = '\000' then strip (i + 1) else i in
+      let minimal = let i = strip 0 in String.sub s i (String.length s - i) in
+      B.equal v !per_byte
+      && B.to_bytes_be v = minimal
+      && B.to_bytes_be ~pad_to:(String.length s) v = s
+      && B.to_bytes_be ~pad_to:(String.length s + 5) v = String.make 5 '\000' ^ s)
+
 let () =
   Alcotest.run "bignum"
     [
@@ -228,5 +307,7 @@ let () =
             prop_bytes_roundtrip;
             prop_decimal_roundtrip;
             prop_shift;
+            prop_mod_pow_reference;
+            prop_codec;
           ] );
     ]

@@ -134,6 +134,63 @@ let test_distinct_keys () =
   let k2 = Rsa.generate rng ~bits:256 in
   Alcotest.(check bool) "moduli differ" false (Bignum.equal k1.Rsa.pub.Rsa.n k2.Rsa.pub.Rsa.n)
 
+(* Values captured before Montgomery exponentiation replaced
+   square-and-multiply: faster arithmetic must not change a single key.
+   The [mod_pow] call count is fixed by the PRNG stream, so it moves if
+   the Miller-Rabin round count or any random draw changes. *)
+let test_keygen_golden () =
+  List.iter
+    (fun (bits, calls, modulus) ->
+      let before = Bignum.mod_pow_calls () in
+      let key = Rsa.generate (Prng.create ~seed:(Printf.sprintf "golden-rsa-%d" bits)) ~bits in
+      Alcotest.(check int) (Printf.sprintf "mod_pow calls, %d-bit keygen" bits) calls
+        (Bignum.mod_pow_calls () - before);
+      Alcotest.(check string) (Printf.sprintf "%d-bit modulus" bits) modulus
+        (Bignum.to_hex key.Rsa.pub.Rsa.n))
+    [
+      ( 512,
+        44,
+        "aaeba4bd7850e8ef6213cb2cae7d9201aae4ccdc4510ff28e154ec77a27abffa0b4f6e9ed9123be62bd5e1\
+         66209b7564751bf85023f12fa66c4c55286cd0daf3" );
+      ( 1024,
+        80,
+        "884047bed8581217b1dac4f70908d11d296f414cda89dd878a219c3881d3d2c167d1d29d145829f5653c1b\
+         8e1f9ad8a1c42f03f2bd6ba11a166463e429fb8ddb77b61849fa75d73ec3a45f7d116f67b5c00f9c3b2c32\
+         ac9b01f0032230dd39ac4a80ff3ab9753e2a5627a14860336595e4b754f225155eebc2e812df27188ccd" );
+    ]
+
+(* A seeded platform's TPM hierarchy, pinned by the SHA-1 of each public
+   key. The TPM draws its keys from the platform seed forked as "tpm", so
+   regenerating them from that stream also exposes the SRK. *)
+let test_platform_keys_golden () =
+  let module Keys = Flicker_tpm.Keys in
+  let module Tpm = Flicker_tpm.Tpm in
+  let p = Flicker_core.Platform.create ~seed:"golden-platform" ~key_bits:512 () in
+  let keys = Keys.generate (Prng.fork (Prng.create ~seed:"golden-platform") ~label:"tpm") ~key_bits:512 in
+  let sha1 pub = Sha1.hex (Rsa.public_to_string pub) in
+  let ek = "b6b7ffc27cea967a5b4295c0a2398aecdae2f733"
+  and srk = "1677336a24af534fd689caad5a87851d87a3dbbe"
+  and aik = "24db2123f82ff0bd4001a41f1daacaeba8b7e3b1" in
+  Alcotest.(check string) "platform EK" ek (sha1 (Tpm.ek_public p.Flicker_core.Platform.tpm));
+  Alcotest.(check string) "platform AIK" aik (sha1 (Tpm.aik_public p.Flicker_core.Platform.tpm));
+  Alcotest.(check string) "EK" ek (sha1 keys.Keys.ek.Rsa.pub);
+  Alcotest.(check string) "SRK" srk (sha1 keys.Keys.srk.Rsa.pub);
+  Alcotest.(check string) "AIK" aik (sha1 keys.Keys.aik.Rsa.pub)
+
+let prop_crt_roundtrip =
+  let key = Rsa.generate (Prng.create ~seed:"rsa-crt-roundtrip") ~bits:512 in
+  let n = key.Rsa.pub.Rsa.n in
+  let edge = [ Bignum.zero; Bignum.one; Bignum.sub n Bignum.one ] in
+  QCheck.Test.make ~name:"CRT decrypt inverts encrypt" ~count:100
+    (QCheck.make ~print:Bignum.to_hex
+       QCheck.Gen.(
+         frequency
+           [
+             (1, oneofl edge);
+             (9, map (fun s -> Bignum.rem (Bignum.of_bytes_be s) n) (string_size (return 64)));
+           ]))
+    (fun m -> Bignum.equal m (Rsa.decrypt_raw key (Rsa.encrypt_raw key.Rsa.pub m)))
+
 let prop_pkcs1_roundtrip =
   let key = Rsa.generate rng ~bits:512 in
   QCheck.Test.make ~name:"PKCS#1 encrypt/decrypt roundtrip" ~count:50
@@ -162,6 +219,8 @@ let () =
           Alcotest.test_case "raw roundtrip" `Quick test_raw_roundtrip;
           Alcotest.test_case "CRT correctness" `Quick test_crt_against_plain;
           Alcotest.test_case "distinct keys" `Quick test_distinct_keys;
+          Alcotest.test_case "keygen golden" `Quick test_keygen_golden;
+          Alcotest.test_case "platform keys golden" `Quick test_platform_keys_golden;
         ] );
       ( "pkcs1",
         [
@@ -172,6 +231,7 @@ let () =
           Alcotest.test_case "serialization" `Quick test_serialization;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_pkcs1_roundtrip; prop_sign_all_messages ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pkcs1_roundtrip; prop_sign_all_messages; prop_crt_roundtrip ]
       );
     ]
