@@ -11,17 +11,16 @@ let extend_chain start values = List.fold_left extend start values
 (* --- measurement memoization ------------------------------------------
 
    Patching and hashing the 64 KB window is the host-side hot path: an
-   Optimized launch used to run the patch + SHA-1 pass once for the
+   Optimized launch would run the patch + SHA-1 pass once for the
    session's stub extend and again (twice) for every [after_launch] /
    [final] the verifier side computes. All of those are pure functions
-   of the image content and the load address, so they are cached here,
-   keyed by the *content* — the raw image bytes plus [slb_base] for the
+   of the image content and the load address, so they are memoized by
+   content ({!Memo}): the raw image bytes tagged with [slb_base] for the
    patched artifacts, the window bytes themselves for [window_digest].
-   A content key makes the cache identity-preserving by construction
-   (any change to the image, the load address, or the in-memory window
-   — including the adversary's corruption hook — changes the key), and
-   invalidation is automatic. Collisions only cost a memcmp, which is
-   ~100x cheaper than re-hashing the window. *)
+   A content key makes the memo identity-preserving by construction (any
+   change to the image, the load address, or the in-memory window —
+   including the adversary's corruption hook — misses), and invalidation
+   is automatic. *)
 
 type entry = {
   e_initialized : string; (* the patched 64 KB window *)
@@ -29,84 +28,21 @@ type entry = {
   mutable e_window : digest option; (* H(full window), on first demand *)
 }
 
-(* Bounded by single-victim FIFO eviction: the working set is a handful
-   of PALs x flavors, so 64 entries (~4 MB of retained windows) is
-   generous. Evicting one oldest key at capacity keeps a 65-entry
-   working set warm (one extra patch+hash per wrap) where the previous
-   wholesale [Hashtbl.reset] thrashed it to a 0% hit rate. *)
-let cache_limit = 64
-
-(* Everything mutable lives in domain-local storage: under OCaml 5
-   Domains each shard hashes on its own domain, and a shared Hashtbl
-   would tear under concurrent insertion. Because every cache is keyed
-   by content, a per-domain split is identity-preserving — a domain that
-   misses where another would have hit only re-derives the same bytes —
-   so the memo stays transparent at any domain count. *)
-type state = {
-  s_cache : (string * int, entry) Hashtbl.t;
-  s_cache_order : (string * int) Queue.t; (* insertion order, oldest first *)
-  s_windows : (string, digest) Hashtbl.t;
-  s_windows_order : string Queue.t;
-  mutable s_hits : int;
-  mutable s_misses : int;
-}
-
-let state_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        s_cache = Hashtbl.create 16;
-        s_cache_order = Queue.create ();
-        s_windows = Hashtbl.create 16;
-        s_windows_order = Queue.create ();
-        s_hits = 0;
-        s_misses = 0;
-      })
-
-let state () = Domain.DLS.get state_key
-
-let cache_stats () =
-  let st = state () in
-  (st.s_hits, st.s_misses)
-
-let clear_cache () =
-  let st = state () in
-  Hashtbl.reset st.s_cache;
-  Queue.clear st.s_cache_order;
-  Hashtbl.reset st.s_windows;
-  Queue.clear st.s_windows_order;
-  st.s_hits <- 0;
-  st.s_misses <- 0
-
-(* The order queue may hold keys that were already evicted (a key
-   re-inserted after eviction appears twice); skip those. *)
-let rec evict_one tbl order =
-  match Queue.take_opt order with
-  | None -> ()
-  | Some k -> if Hashtbl.mem tbl k then Hashtbl.remove tbl k else evict_one tbl order
+let images : entry Memo.t = Memo.create ()
+let windows : digest Memo.t = Memo.create ()
+let cache_stats = Memo.stats_all
+let clear_cache = Memo.clear_all
 
 let lookup image ~slb_base =
-  let st = state () in
-  let key = (image.Builder.bytes, slb_base) in
-  match Hashtbl.find_opt st.s_cache key with
-  | Some e ->
-      st.s_hits <- st.s_hits + 1;
-      e
-  | None ->
-      st.s_misses <- st.s_misses + 1;
-      if Hashtbl.length st.s_cache >= cache_limit then
-        evict_one st.s_cache st.s_cache_order;
+  Memo.find_or_add images ~tag:slb_base image.Builder.bytes (fun () ->
       let bytes = Builder.initialize image ~slb_base in
-      let e =
-        {
-          e_initialized = bytes;
-          e_measured = Sha1.digest (String.sub bytes 0 image.Builder.measured_length);
-          e_window = None;
-        }
-      in
-      Hashtbl.replace st.s_cache key e;
-      Queue.add key st.s_cache_order;
-      e
+      {
+        e_initialized = bytes;
+        e_measured = Sha1.digest (String.sub bytes 0 image.Builder.measured_length);
+        e_window = None;
+      })
 
+(* entries are per-domain, so this write never races *)
 let entry_window_digest e =
   match e.e_window with
   | Some d -> d
@@ -115,20 +51,7 @@ let entry_window_digest e =
       e.e_window <- Some d;
       d
 
-let window_digest window =
-  let st = state () in
-  match Hashtbl.find_opt st.s_windows window with
-  | Some d ->
-      st.s_hits <- st.s_hits + 1;
-      d
-  | None ->
-      st.s_misses <- st.s_misses + 1;
-      if Hashtbl.length st.s_windows >= cache_limit then
-        evict_one st.s_windows st.s_windows_order;
-      let d = Sha1.digest window in
-      Hashtbl.replace st.s_windows window d;
-      Queue.add window st.s_windows_order;
-      d
+let window_digest window = Memo.find_or_add windows window (fun () -> Sha1.digest window)
 
 let initialized image ~slb_base = (lookup image ~slb_base).e_initialized
 

@@ -17,9 +17,9 @@ val extend_chain : digest -> digest list -> digest
 
 val initialized : Flicker_slb.Builder.image -> slb_base:int -> string
 (** The image patched for [slb_base] — [Builder.initialize], memoized by
-    (image bytes, slb_base) so repeated sessions of the same PAL stop
-    re-patching a fresh 64 KB copy. The returned string is shared: treat
-    it as immutable. *)
+    content (image bytes, slb_base) so repeated sessions of the same PAL
+    stop re-patching a fresh 64 KB copy. The returned string is shared:
+    treat it as immutable. *)
 
 val of_image : Flicker_slb.Builder.image -> slb_base:int -> digest
 (** H(measured bytes) of the initialized image — what the TPM receives.
@@ -32,26 +32,29 @@ val window_hash : Flicker_slb.Builder.image -> slb_base:int -> digest
 val window_digest : string -> digest
 (** SHA-1 of a raw window read back from memory, memoized by the window
     content itself — the session's optimized-stub extend goes through
-    here, so re-measuring an unchanged window costs a memcmp instead of
-    a 64 KB hash while any in-memory corruption still changes the key
-    (and therefore misses and re-hashes). *)
+    here, so re-measuring an unchanged window costs a sampled fingerprint
+    and a memcmp instead of a 64 KB hash, while any in-memory corruption
+    still changes the key (and therefore misses and re-hashes). *)
 
 val cache_stats : unit -> int * int
-(** (hits, misses) of the calling domain's measurement caches since its
-    last {!clear_cache} — instrumentation for [bench micro]. The caches
-    live in [Domain.DLS], one instance per domain: a sharded fleet
-    hashes on several domains without sharing (or tearing) a table, and
-    because every cache is content-keyed the split is
-    identity-preserving — only the hit/miss counts depend on the domain
-    layout, never a digest. *)
+(** (hits, misses) summed over every content memo
+    ({!Flicker_crypto.Memo.stats_all}) on the calling domain since its
+    last {!clear_cache}: the image and window memos above and the TPM's
+    SKINIT-measurement memo — instrumentation for [bench micro] and the
+    host-cost benchmark. The memos live in [Domain.DLS], one instance per
+    domain: a sharded fleet hashes on several domains without sharing (or
+    tearing) a table, and because every memo is content-keyed the split
+    is identity-preserving — only the hit/miss counts depend on the
+    domain layout, never a digest. *)
 
 val clear_cache : unit -> unit
-(** Drop every measurement memoized on the calling domain (and zero its
-    {!cache_stats}). Results are unaffected: the caches are keyed by
-    content, so this only costs re-derivation. At capacity the caches
-    evict a single oldest entry instead of flushing wholesale, so a
-    working set one larger than the bound degrades by one re-derivation
-    per wrap rather than to a 0% hit rate. *)
+(** Drop every content memo on the calling domain (and zero its
+    {!cache_stats}), so the next session hashes everything cold. Results
+    are unaffected: the memos are keyed by content, so this only costs
+    re-derivation. At capacity a memo evicts its single oldest entry
+    instead of flushing wholesale, so a working set one larger than the
+    bound degrades by one re-derivation per wrap rather than to a 0%
+    hit rate. *)
 
 val after_launch : ?acm:string -> Flicker_slb.Builder.image -> slb_base:int -> digest
 (** PCR 17 immediately after a late launch (including the stub's extend

@@ -1,4 +1,3 @@
-open Flicker_crypto
 module Tracer = Flicker_obs.Tracer
 module Metrics = Flicker_obs.Metrics
 module Machine = Flicker_hw.Machine
@@ -253,6 +252,7 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                       entry_point = senter.Flicker_hw.Senter.entry_point;
                       protected_base = senter.Flicker_hw.Senter.protected_base;
                       protected_len = senter.Flicker_hw.Senter.protected_len;
+                      measurement = senter.Flicker_hw.Senter.mle_measurement;
                     }
               | exception Flicker_hw.Senter.Senter_error msg -> Error msg))
     in
@@ -264,9 +264,12 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
         Scheduler.resume platform.Platform.scheduler;
         finish (Error (Skinit_failed msg))
     | Ok launch ->
-        let slb_measurement =
-          Sha1.digest (Memory.read memory ~addr:slb_base ~len:launch.Skinit.slb_length)
-        in
+        (* the digest the TPM extended: the hardware already hashed
+           exactly these bytes *)
+        let slb_measurement = launch.Skinit.measurement in
+        (* nothing writes the window between here and dispatch, so one
+           read serves the stub's extend and the dispatcher *)
+        let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
 
         (* --- SLB Core init (plus the optimized stub's hash+extend) --- *)
         timed Slb_init (fun () ->
@@ -276,7 +279,6 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
             | Builder.Optimized ->
                 (* the measured stub hashes the full window on the main
                    CPU and extends PCR 17 before running any of it *)
-                let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
                 Machine.charge_sha1 machine ~bytes:Layout.slb_size;
                 (* the simulated cost above is charged in full; only the
                    host-side hash is memoized (by window content, so a
@@ -284,7 +286,6 @@ let execute (platform : Platform.t) ~pal ?(flavor = Builder.Optimized) ?(tech = 
                 extend_pcr17 ~kind:"stub" platform (Measurement.window_digest window));
 
         (* --- Execute PAL: dispatch on the measured bytes --- *)
-        let window = Memory.read memory ~addr:slb_base ~len:Layout.slb_size in
         let dispatch =
           match Builder.pal_code_of_window window with
           | Error _ -> None

@@ -22,8 +22,8 @@ val finalize : ctx -> string
     context is [reset]. *)
 
 val digest : string -> string
-(** One-shot hash (reuses one process-wide scratch context; the
-    simulator is single-domain). *)
+(** One-shot hash. Reuses one scratch context per domain
+    ([Domain.DLS]), so concurrent domains may digest at the same time. *)
 
 val bytes_hashed : unit -> int
 (** Message bytes absorbed through [update] since process start —

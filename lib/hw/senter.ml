@@ -7,6 +7,7 @@ type launch = {
   mle_length : int;
   entry_point : int;
   acm_measurement : string;
+  mle_measurement : string;
   protected_base : int;
   protected_len : int;
 }
@@ -51,11 +52,11 @@ let execute (m : Machine.t) ~slb_base ~acm =
   bsp.Cpu.debug_enabled <- false;
   (* stage 1: the chipset authenticates and measures the SINIT ACM *)
   hooks.Machine.dynamic_pcr_reset ();
-  hooks.Machine.measure_into_pcr17 acm;
+  let acm_measurement = hooks.Machine.measure_into_pcr17 acm in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:(String.length acm));
   (* stage 2: the ACM measures and launches the MLE *)
   let mle = Memory.read m.memory ~addr:slb_base ~len:mle_length in
-  hooks.Machine.measure_into_pcr17 mle;
+  let mle_measurement = hooks.Machine.measure_into_pcr17 mle in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:mle_length);
   bsp.Cpu.mode <- Cpu.Flat_protected;
   bsp.Cpu.paging_enabled <- false;
@@ -66,13 +67,14 @@ let execute (m : Machine.t) ~slb_base ~acm =
   Machine.log_event m
     (Printf.sprintf "senter: launched MLE at %#x (len=%d) under ACM %s" slb_base
        mle_length
-       (Util.to_hex (String.sub (Sha1.digest acm) 0 6)));
+       (Util.to_hex (String.sub acm_measurement 0 6)));
   Machine.protocol_event m "skinit.end";
   {
     mle_base = slb_base;
     mle_length;
     entry_point = slb_base + entry_offset;
-    acm_measurement = Sha1.digest acm;
+    acm_measurement;
+    mle_measurement;
     protected_base = slb_base;
     protected_len = Skinit.slb_window;
   }

@@ -6,6 +6,7 @@ type launch = {
   entry_point : int;
   protected_base : int;
   protected_len : int;
+  measurement : string;
 }
 
 let slb_window = 64 * 1024
@@ -42,7 +43,7 @@ let execute (m : Machine.t) ~slb_base =
      dynamic PCRs and extends PCR 17 with the measurement. *)
   let contents = Memory.read m.memory ~addr:slb_base ~len:slb_length in
   hooks.dynamic_pcr_reset ();
-  hooks.measure_into_pcr17 contents;
+  let measurement = hooks.measure_into_pcr17 contents in
   Machine.charge m (Timing.skinit_ms m.timing ~slb_bytes:slb_length);
   (* Enter flat 32-bit protected mode at the entry point. *)
   bsp.mode <- Cpu.Flat_protected;
@@ -62,6 +63,7 @@ let execute (m : Machine.t) ~slb_base =
     entry_point = slb_base + entry_offset;
     protected_base = slb_base;
     protected_len = slb_window;
+    measurement;
   }
 
 let teardown_dev (m : Machine.t) launch =

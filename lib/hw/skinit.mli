@@ -16,6 +16,9 @@ type launch = {
   entry_point : int;  (** absolute physical address of the first instruction *)
   protected_base : int;
   protected_len : int;  (** always the full 64 KB DEV window *)
+  measurement : string;
+      (** SHA-1 of the measured SLB bytes: the digest the TPM extended
+          into PCR 17 *)
 }
 
 val slb_window : int

@@ -12,9 +12,19 @@ let le16 v = String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
 
 let header ~length ~entry = le16 length ^ le16 entry
 
-let pad_to size s =
-  if String.length s > size then invalid_arg "Builder: image larger than the SLB window";
-  s ^ String.make (size - String.length s) '\000'
+(* [parts] laid end to end in a zeroed window: one allocation *)
+let fill_window parts =
+  let b = Bytes.make Layout.slb_size '\000' in
+  ignore
+    (List.fold_left
+       (fun off s ->
+         let len = String.length s in
+         if off + len > Layout.slb_size then
+           invalid_arg "Builder: image larger than the SLB window";
+         Bytes.blit_string s 0 b off len;
+         off + len)
+       0 parts);
+  Bytes.unsafe_to_string b
 
 let build ?(flavor = Standard) pal =
   let pal_code = Pal.linked_code pal in
@@ -25,13 +35,15 @@ let build ?(flavor = Standard) pal =
       in
       if measured_length > Layout.pal_region_end then
         invalid_arg "Builder.build: PAL too large for the standard SLB";
-      let body =
-        header ~length:measured_length ~entry:Layout.header_size
-        ^ Slb_core.code ^ pal_code
-      in
       {
         flavor;
-        bytes = pad_to Layout.slb_size body;
+        bytes =
+          fill_window
+            [
+              header ~length:measured_length ~entry:Layout.header_size;
+              Slb_core.code;
+              pal_code;
+            ];
         measured_length;
         pal_region_off = Layout.header_size + Slb_core.core_size;
         pal_region_len = String.length pal_code;
@@ -43,15 +55,16 @@ let build ?(flavor = Standard) pal =
         invalid_arg "Builder.build: PAL too large for the optimized SLB";
       if String.length pal_code > 0xFFFF then
         invalid_arg "Builder.build: PAL exceeds the inner length field";
-      let body =
-        header ~length:Slb_core.stub_size ~entry:Layout.header_size
-        ^ Slb_core.stub_code
-        ^ le16 (String.length pal_code)
-        ^ pal_code
-      in
       {
         flavor;
-        bytes = pad_to Layout.slb_size body;
+        bytes =
+          fill_window
+            [
+              header ~length:Slb_core.stub_size ~entry:Layout.header_size;
+              Slb_core.stub_code;
+              le16 (String.length pal_code);
+              pal_code;
+            ];
         measured_length = Slb_core.stub_size;
         pal_region_off;
         pal_region_len = String.length pal_code;

@@ -78,9 +78,15 @@ let synth_code ~name ~size =
   done;
   String.sub (Buffer.contents buf) 0 size
 
-let module_code kind =
-  let m = info kind in
-  synth_code ~name:("module:" ^ m.module_name) ~size:m.size_bytes
+(* Synthesized once, eagerly (a shared [lazy] is unsafe to force from
+   two domains): every session links its PAL, and re-synthesizing the
+   modules cost a CA-sized PAL ~44 KB of SHA-256 per session. *)
+let module_codes =
+  List.map
+    (fun m -> (m.kind, synth_code ~name:("module:" ^ m.module_name) ~size:m.size_bytes))
+    catalog
+
+let module_code kind = List.assoc kind module_codes
 
 type t = {
   name : string;
@@ -97,12 +103,21 @@ let module_order = function
   | Memory_management -> 4
   | Secure_channel -> 5
 
-let linked_code t =
-  String.concat "" (List.map module_code t.modules) ^ t.app_code
+let linked_code t = String.concat "" (List.map module_code t.modules @ [ t.app_code ])
 
 let code_hash t = Sha1.digest (linked_code t)
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+(* Keyed by the linked code itself: a lookup fingerprints the code
+   ([Memo.sampled_hash], constant cost) and confirms by content, so
+   dispatch never hashes the PAL. Written only by [define]. *)
+module Code_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Memo.sampled_hash
+end)
+
+let registry : t Code_tbl.t = Code_tbl.create 16
 
 let define ~name ?(app_code_size = 512) ?(modules = []) behavior =
   let modules =
@@ -115,10 +130,10 @@ let define ~name ?(app_code_size = 512) ?(modules = []) behavior =
     invalid_arg
       (Printf.sprintf "Pal.define %s: linked code (%d bytes) exceeds the PAL region"
          name (String.length code));
-  Hashtbl.replace registry (Sha1.digest code) t;
+  Code_tbl.replace registry code t;
   t
 
-let find_by_code code = Hashtbl.find_opt registry (Sha1.digest code)
+let find_by_code code = Code_tbl.find_opt registry code
 let wants t kind = List.mem kind t.modules
 
 let total_loc t =

@@ -49,8 +49,9 @@ val define :
   t
 (** Create and register a PAL. The app code bytes are synthesized from
     [name] and [app_code_size] (default 512 bytes — a small C function).
-    Registration keys the behaviour by [SHA-1(linked code)] so the
-    session dispatcher can only run what was measured.
+    Registration keys the behaviour by the linked code bytes themselves
+    (compared in full) so the session dispatcher can only run what was
+    measured.
     @raise Invalid_argument if the linked code exceeds the PAL region. *)
 
 val linked_code : t -> string

@@ -112,14 +112,22 @@ let create ?owner_auth ?srk_auth machine rng ~key_bits =
     seal_mac_key;
   }
 
+(* Every session of a PAL transmits the same stub (or ACM): its digest
+   is memoized by content, so a warm launch costs a fingerprint and a
+   memcmp, and any changed byte still misses and re-hashes. *)
+let launch_measurements : string Memo.t = Memo.create ()
+
 let skinit_hooks t =
   {
     Machine.dynamic_pcr_reset = (fun () -> Pcr.dynamic_reset t.pcrs);
     measure_into_pcr17 =
       (fun slb_contents ->
-        let measurement = Sha1.digest slb_contents in
+        let measurement =
+          Memo.find_or_add launch_measurements slb_contents (fun () ->
+              Sha1.digest slb_contents)
+        in
         match Pcr.extend ~kind:"measure" t.pcrs 17 measurement with
-        | Ok _ -> ()
+        | Ok _ -> measurement
         | Error e -> failwith ("TPM: PCR 17 extend failed: " ^ Tpm_types.error_to_string e));
   }
 

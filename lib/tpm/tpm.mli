@@ -35,7 +35,11 @@ val create :
 
 val skinit_hooks : t -> Flicker_hw.Machine.tpm_hooks
 (** The chipset-facing interface SKINIT drives; pass to
-    [Machine.set_tpm_hooks]. Not reachable from the software command set. *)
+    [Machine.set_tpm_hooks]. Not reachable from the software command set.
+    The measurement hook memoizes its SHA-1 by content
+    ({!Flicker_crypto.Memo}; cleared and counted by
+    [Measurement.clear_cache]/[cache_stats]) and returns the digest it
+    extended. *)
 
 val reboot : t -> unit
 (** Platform reset: static PCRs to zero, dynamic PCRs to -1, sessions

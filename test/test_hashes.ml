@@ -157,6 +157,108 @@ let prop_sha1_avalanche =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
       Sha1.digest s <> Sha1.digest (Bytes.to_string b))
 
+(* --- content memo ------------------------------------------------------ *)
+
+let sha1_memo : string Memo.t = Memo.create ()
+let memo_sha1 s = Memo.find_or_add sha1_memo s (fun () -> Sha1.digest s)
+
+let flip s off =
+  let b = Bytes.of_string s in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
+  Bytes.to_string b
+
+(* strings up to 20 KB, so most lengths take the sampled path (>= 512 B)
+   and most offsets fall between the sampled words *)
+let string_and_offset =
+  QCheck.make
+    ~print:(fun (s, off) -> Printf.sprintf "len %d, offset %d" (String.length s) off)
+    QCheck.Gen.(
+      int_range 1 20_000 >>= fun len ->
+      string_size ~gen:char (return len) >>= fun s ->
+      int_range 0 (len - 1) >|= fun off -> (s, off))
+
+let prop_memo_is_sha1 =
+  QCheck.Test.make ~name:"memo: lookups equal Sha1.digest, mutations miss" ~count:200
+    string_and_offset (fun (s, off) ->
+      let s' = flip s off in
+      (* cold, then warm, then the mutant (same length, maybe the same
+         fingerprint), then the original again *)
+      memo_sha1 s = Sha1.digest s
+      && memo_sha1 s = Sha1.digest s
+      && memo_sha1 s' = Sha1.digest s'
+      && memo_sha1 s = Sha1.digest s)
+
+let test_memo_unsampled_mutation () =
+  Memo.clear sha1_memo;
+  let s = String.init 4096 (fun i -> Char.chr (i * 7 land 0xff)) in
+  (* find an offset the fingerprint does not read *)
+  let off =
+    let rec go i =
+      if Memo.sampled_hash (flip s i) = Memo.sampled_hash s then i else go (i + 1)
+    in
+    go 0
+  in
+  let s' = flip s off in
+  Alcotest.(check string) "original" (Sha1.digest s) (memo_sha1 s);
+  Alcotest.(check string) "fingerprint collides, content does not" (Sha1.digest s')
+    (memo_sha1 s');
+  Alcotest.(check (pair int int)) "the mutant missed" (0, 2) (Memo.stats sha1_memo);
+  Alcotest.(check string) "original still hits" (Sha1.digest s) (memo_sha1 s);
+  Alcotest.(check (pair int int)) "one hit" (1, 2) (Memo.stats sha1_memo)
+
+let test_memo_tags_and_clear () =
+  let m : int Memo.t = Memo.create () in
+  let calls = ref 0 in
+  let get tag = Memo.find_or_add m ~tag "key" (fun () -> incr calls; tag * 10) in
+  Alcotest.(check (list int)) "tag is part of the key" [ 10; 20; 10; 20 ]
+    [ get 1; get 2; get 1; get 2 ];
+  Alcotest.(check int) "computed once per tag" 2 !calls;
+  Alcotest.(check (pair int int)) "stats" (2, 2) (Memo.stats m);
+  let h, miss = Memo.stats_all () in
+  Alcotest.(check bool) "stats_all includes this memo" true (h >= 2 && miss >= 2);
+  Memo.clear_all ();
+  Alcotest.(check (pair int int)) "clear_all zeroes" (0, 0) (Memo.stats m);
+  Alcotest.(check int) "clear_all empties" 0 (Memo.length m);
+  Alcotest.(check int) "recomputed after clear" 10 (get 1);
+  Alcotest.(check int) "calls" 3 !calls
+
+(* random key streams over pools from half to twice the capacity: the
+   table never outgrows its bound, evicts exactly as a FIFO model does, every
+   lookup returns the key's own value, and hits + misses count every
+   lookup *)
+let prop_memo_capacity =
+  let capacity = Memo.capacity in
+  QCheck.Test.make ~name:"memo: capacity bound and FIFO eviction" ~count:100
+    QCheck.(
+      pair (int_range (capacity / 2) (2 * capacity))
+        (list_of_size Gen.(int_range 0 400) (int_range 0 1000)))
+    (fun (pool, draws) ->
+      let keys = List.map (fun d -> d mod pool) draws in
+      let m : string Memo.t = Memo.create () in
+      let key i = Printf.sprintf "%d:%s" i (String.make (if i mod 2 = 0 then 600 else 3) 'k') in
+      (* reference FIFO model: most recent insertion first *)
+      let model = ref [] in
+      List.for_all
+        (fun i ->
+          let k = key i in
+          let expect_hit = List.mem k !model in
+          let h0, _ = Memo.stats m in
+          let v = Memo.find_or_add m k (fun () -> "v" ^ k) in
+          let h1, _ = Memo.stats m in
+          if not expect_hit then begin
+            model := k :: !model;
+            if List.length !model > capacity then
+              model := List.filteri (fun j _ -> j < capacity) !model
+          end;
+          v = "v" ^ k
+          && (h1 - h0 = 1) = expect_hit
+          && Memo.length m = List.length !model
+          && Memo.length m <= capacity)
+        keys
+      &&
+      let h, miss = Memo.stats m in
+      h + miss = List.length keys)
+
 let () =
   Alcotest.run "hashes"
     [
@@ -195,4 +297,10 @@ let () =
             prop_incremental "md5" Md5.digest Md5.init Md5.update Md5.finalize;
             prop_sha1_avalanche;
           ] );
+      ( "memo",
+        [
+          Alcotest.test_case "unsampled mutation" `Quick test_memo_unsampled_mutation;
+          Alcotest.test_case "tags and clear" `Quick test_memo_tags_and_clear;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_memo_is_sha1; prop_memo_capacity ] );
     ]

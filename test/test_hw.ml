@@ -160,7 +160,10 @@ let machine_with_tpm () =
   Machine.set_tpm_hooks m
     {
       Machine.dynamic_pcr_reset = (fun () -> incr resets);
-      measure_into_pcr17 = (fun contents -> measured := Some contents);
+      measure_into_pcr17 =
+        (fun contents ->
+          measured := Some contents;
+          Flicker_crypto.Sha1.digest contents);
     };
   (m, measured, resets)
 
@@ -183,7 +186,11 @@ let test_skinit_happy_path () =
   Alcotest.(check int) "window" 65536 launch.Skinit.protected_len;
   Alcotest.(check int) "dynamic reset" 1 !resets;
   (match !measured with
-  | Some contents -> Alcotest.(check int) "measured bytes" 1000 (String.length contents)
+  | Some contents ->
+      Alcotest.(check int) "measured bytes" 1000 (String.length contents);
+      (* the launch carries the hook's digest instead of re-hashing *)
+      Alcotest.(check string) "launch measurement" (Flicker_crypto.Sha1.digest contents)
+        launch.Skinit.measurement
   | None -> Alcotest.fail "nothing measured");
   let bsp = Cpu.bsp m.Machine.cpus in
   Alcotest.(check bool) "interrupts off" false bsp.Cpu.interrupts_enabled;

@@ -65,6 +65,49 @@ let test_measurement_memo_two_domains () =
         (Measurement.window_digest w))
     windows
 
+(* Two domains hammer one content memo with near-identical 4 KB keys
+   (pairs differ in one byte the fingerprint skips), more keys than the
+   capacity: every lookup must return its own key's digest, and each
+   domain's table must stay within the bound. *)
+let test_content_memo_two_domains () =
+  let memo : string Memo.t = Memo.create () in
+  let base i = String.make 4096 (Char.chr (33 + i)) in
+  let keys =
+    Array.init (Memo.capacity + 16) (fun i ->
+        let s = base (i / 2) in
+        if i mod 2 = 0 then s
+        else
+          (* byte 9 sits between the first two sampled words *)
+          String.mapi (fun j c -> if j = 9 then '#' else c) s)
+  in
+  Alcotest.(check bool) "pairs share a fingerprint" true
+    (Memo.sampled_hash keys.(0) = Memo.sampled_hash keys.(1));
+  let expected = Array.map Sha1.digest keys in
+  let hammer () =
+    let n = Array.length keys in
+    for pass = 0 to 19 do
+      for j = 0 to n - 1 do
+        (* each pass starts at a different key, so evictions vary *)
+        let i = (j + pass) mod n in
+        let k = keys.(i) in
+        let got = Memo.find_or_add memo k (fun () -> Sha1.digest k) in
+        if not (String.equal got expected.(i)) then
+          Alcotest.failf "memo returned another key's digest (key %d, pass %d)" i pass;
+        if Memo.length memo > Memo.capacity then Alcotest.fail "capacity exceeded"
+      done
+    done;
+    let hits, misses = Memo.stats memo in
+    Alcotest.(check int) "every lookup counted" (20 * Array.length keys) (hits + misses)
+  in
+  join_all [ spawn_catching hammer; spawn_catching hammer ];
+  (* the hammering stayed on the workers' own tables *)
+  Alcotest.(check (pair int int)) "main domain untouched" (0, 0) (Memo.stats memo);
+  Array.iteri
+    (fun i k ->
+      Alcotest.(check string) "main-domain digest" expected.(i)
+        (Memo.find_or_add memo k (fun () -> Sha1.digest k)))
+    keys
+
 let test_sha_scratch_two_domains () =
   let inputs =
     Array.init 64 (fun i -> String.make ((i * 17 mod 300) + 1) (Char.chr (40 + i)))
@@ -281,6 +324,8 @@ let () =
         [
           Alcotest.test_case "measurement memo: 2-domain hammer" `Quick
             test_measurement_memo_two_domains;
+          Alcotest.test_case "content memo: 2-domain hammer" `Quick
+            test_content_memo_two_domains;
           Alcotest.test_case "sha scratch: 2-domain hammer" `Quick
             test_sha_scratch_two_domains;
           Alcotest.test_case "memo eviction keeps 65-image set warm" `Quick

@@ -1,4 +1,5 @@
 open Flicker_core
+open Flicker_crypto
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module Builder = Flicker_slb.Builder
@@ -100,6 +101,95 @@ let test_measurement_stable_across_sessions () =
   Alcotest.(check string) "same PAL, same measurement" o1.Session.slb_measurement
     o2.Session.slb_measurement;
   Alcotest.(check string) "same during-value" o1.Session.pcr17_during o2.Session.pcr17_during
+
+(* The corruption hook flips the first PAL byte after the module loads
+   the window: whatever the memos hold from the honest warm-up session,
+   the launch must re-hash the changed bytes. PCR 17 must then hold
+   exactly the chain over the corrupted window. *)
+let corrupted_final ?acm image ~slb_base ~inputs =
+  let w = Bytes.of_string (Measurement.initialized image ~slb_base) in
+  let off = image.Builder.pal_region_off in
+  Bytes.set w off (Char.chr (Char.code (Bytes.get w off) lxor 0xff));
+  let w = Bytes.to_string w in
+  let start =
+    match acm with
+    | None -> Flicker_tpm.Tpm_types.zero_digest
+    | Some a -> Measurement.extend Flicker_tpm.Tpm_types.zero_digest (Sha1.digest a)
+  in
+  let launched =
+    Measurement.extend start (Sha1.digest (String.sub w 0 image.Builder.measured_length))
+  in
+  let launched =
+    match image.Builder.flavor with
+    | Builder.Standard -> launched
+    | Builder.Optimized -> Measurement.extend launched (Sha1.digest w)
+  in
+  Measurement.extend_chain launched
+    (Measurement.io_extends ~inputs ~outputs:"" ~nonce:None
+    @ [ Flicker_slb.Slb_core.cap_value ])
+
+let test_corrupt_slb_rehashes () =
+  let acm = Flicker_hw.Senter.default_acm in
+  List.iter
+    (fun (label, tech, acm, flavor) ->
+      let p = make_platform ~seed:("corrupt-" ^ label) () in
+      let honest =
+        match Session.execute p ~pal:hello ~flavor ~tech ~inputs:"in" () with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "%s honest: %a" label Session.pp_error e
+      in
+      Session.corrupt_slb_in_memory p;
+      (match Session.execute p ~pal:hello ~flavor ~tech ~inputs:"in" () with
+      | Error Session.Unknown_pal -> ()
+      | Error e -> Alcotest.failf "%s: unexpected %a" label Session.pp_error e
+      | Ok _ -> Alcotest.failf "%s: corrupted PAL dispatched" label);
+      let pcr = Result.get_ok (Tpm.pcr_read p.Platform.tpm 17) in
+      let image = Builder.build ~flavor hello in
+      Alcotest.(check string) (label ^ ": pcr17 is the corrupted chain")
+        (corrupted_final ?acm image ~slb_base:p.Platform.slb_base ~inputs:"in")
+        pcr;
+      Alcotest.(check bool) (label ^ ": differs from honest") true
+        (pcr <> honest.Session.pcr17_final);
+      (* and the memos did not go stale: an honest session measures as
+         before *)
+      let again =
+        match Session.execute p ~pal:hello ~flavor ~tech ~inputs:"in" () with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "%s again: %a" label Session.pp_error e
+      in
+      Alcotest.(check string) (label ^ ": recovered") honest.Session.pcr17_final
+        again.Session.pcr17_final)
+    [
+      ("svm-std", Session.Svm, None, Builder.Standard);
+      ("svm-opt", Session.Svm, None, Builder.Optimized);
+      ("txt-std", Session.Txt { acm }, Some acm, Builder.Standard);
+      ("txt-opt", Session.Txt { acm }, Some acm, Builder.Optimized);
+    ]
+
+(* Deterministic work gate: a warm Optimized session identifies its
+   window, stub and code through the content memos, so the only SHA-1
+   left is the PCR extends and the I/O measurements (~260 bytes; the
+   unmemoized path hashed over 10 KB). *)
+let test_warm_session_hash_budget () =
+  let p = make_platform ~seed:"hash-budget" () in
+  ignore (run ~inputs:"world" p hello);
+  let before = Sha1.bytes_hashed () in
+  ignore (run ~inputs:"world" p hello);
+  let hashed = Sha1.bytes_hashed () - before in
+  if hashed > 1024 then Alcotest.failf "warm session hashed %d bytes (budget 1024)" hashed
+
+(* One Optimized session looks up three memos — patched image, SKINIT
+   measurement, window digest — and [clear_cache] resets all of them. *)
+let test_memo_stats_cover_launch () =
+  let p = make_platform ~seed:"memo-stats" () in
+  Measurement.clear_cache ();
+  ignore (run p hello);
+  Alcotest.(check (pair int int)) "cold session" (0, 3) (Measurement.cache_stats ());
+  ignore (run p hello);
+  Alcotest.(check (pair int int)) "warm session" (3, 3) (Measurement.cache_stats ());
+  Measurement.clear_cache ();
+  ignore (run p hello);
+  Alcotest.(check (pair int int)) "cold again" (0, 3) (Measurement.cache_stats ())
 
 let test_cleanup_zeroizes () =
   let secret = "PAL-SECRET-0123456789" in
@@ -318,6 +408,9 @@ let () =
             test_measurement_stable_across_sessions;
           Alcotest.test_case "measurement functions" `Quick test_measurement_module;
           Alcotest.test_case "corrupt slb" `Quick test_corrupt_slb_changes_measurement;
+          Alcotest.test_case "corrupt slb re-hashes" `Quick test_corrupt_slb_rehashes;
+          Alcotest.test_case "warm session hash budget" `Quick test_warm_session_hash_budget;
+          Alcotest.test_case "memo stats cover launch" `Quick test_memo_stats_cover_launch;
         ] );
       ( "isolation",
         [

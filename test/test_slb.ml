@@ -54,6 +54,19 @@ let test_pal_define_and_registry () =
   Alcotest.(check bool) "found by code" true (Pal.find_by_code (Pal.linked_code pal) <> None);
   Alcotest.(check bool) "not found for corrupt code" true
     (Pal.find_by_code (Pal.linked_code pal ^ "x") = None);
+  (* dispatch compares the whole code: a change the registry's
+     fingerprint does not read still finds nothing *)
+  let code = Pal.linked_code pal in
+  let flipped i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) code
+  in
+  let rec unsampled i =
+    if Flicker_crypto.Memo.sampled_hash (flipped i) = Flicker_crypto.Memo.sampled_hash code
+    then i
+    else unsampled (i + 1)
+  in
+  Alcotest.(check bool) "not found for an unsampled change" true
+    (Pal.find_by_code (flipped (unsampled 0)) = None);
   Alcotest.(check bool) "wants driver" true (Pal.wants pal Pal.Tpm_driver);
   Alcotest.(check bool) "no crypto" false (Pal.wants pal Pal.Crypto);
   (* TCB accounting: SLB core + TPM driver *)

@@ -61,6 +61,35 @@ let test_senter_measurement_chain () =
   Alcotest.(check bool) "DMA restored" true
     (Flicker_hw.Dev.allows m.Machine.dev ~addr:0x10000 ~len:65536)
 
+(* SENTER hands back the digests the TPM extended, and re-launching after
+   a one-byte change the content memo's fingerprint cannot see still
+   re-hashes the MLE *)
+let test_senter_returns_fresh_measurements () =
+  let m, _ = machine_with_tpm () in
+  write_mle m ~addr:0x10000 ~len:1000;
+  park m;
+  let first = Senter.execute m ~slb_base:0x10000 ~acm:Senter.default_acm in
+  let mle = Memory.read m.Machine.memory ~addr:0x10000 ~len:1000 in
+  Alcotest.(check string) "mle measurement" (Sha1.digest mle) first.Senter.mle_measurement;
+  Senter.teardown_protection m first;
+  let off =
+    let rec go i =
+      let b = Bytes.of_string mle in
+      Bytes.set b i 'X';
+      if Memo.sampled_hash (Bytes.to_string b) = Memo.sampled_hash mle then i else go (i + 1)
+    in
+    go 4
+  in
+  Memory.write m.Machine.memory ~addr:(0x10000 + off) "X";
+  let mle' = Memory.read m.Machine.memory ~addr:0x10000 ~len:1000 in
+  let second = Senter.execute m ~slb_base:0x10000 ~acm:Senter.default_acm in
+  Alcotest.(check string) "changed mle re-hashed" (Sha1.digest mle')
+    second.Senter.mle_measurement;
+  Alcotest.(check bool) "measurements differ" true
+    (first.Senter.mle_measurement <> second.Senter.mle_measurement);
+  Alcotest.(check string) "acm measurement stable" first.Senter.acm_measurement
+    second.Senter.acm_measurement
+
 let test_senter_differs_from_skinit () =
   (* the same MLE bytes launched by the two technologies give different
      PCR 17 values: the ACM link is visible to verifiers *)
@@ -202,6 +231,8 @@ let () =
         [
           Alcotest.test_case "measurement chain" `Quick test_senter_measurement_chain;
           Alcotest.test_case "differs from skinit" `Quick test_senter_differs_from_skinit;
+          Alcotest.test_case "fresh measurements" `Quick
+            test_senter_returns_fresh_measurements;
           Alcotest.test_case "preconditions" `Quick test_senter_preconditions;
         ] );
       ( "sessions",
