@@ -949,8 +949,7 @@ let chaos_run seed tpm platforms batch queue_depth policy workload clients
   end;
   let config =
     {
-      Fleet.default_config with
-      platforms;
+      Fleet.platforms;
       batch_size = batch;
       queue_depth;
       policy;
@@ -1063,8 +1062,7 @@ let serve_run seed tpm platforms batch queue_depth clients interactive
     }
   in
   let config =
-    { Serve.default_config with Serve.fleet = fleet_cfg;
-      cache_capacity = capacity; cache_ttl_ms = ttl }
+    { Serve.fleet = fleet_cfg; cache_capacity = capacity; cache_ttl_ms = ttl }
   in
   let pool = 10 in
   let warm =

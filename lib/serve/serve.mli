@@ -25,16 +25,16 @@ type config = {
   fleet : Flicker_service.Fleet.config;
   cache_capacity : int;
   cache_ttl_ms : float option;  (** [None]: entries never expire *)
-  cache_homed : bool;
-      (** serve homed (sealed-affinity) requests from the cache too;
-          [false] — the default — routes them to their home platform so
-          its sealed state stays authoritative *)
-  work_ms : float;  (** simulated PAL work per request in a batch *)
 }
+(** [fleet] must keep [shards = 1]. Two behaviors are fixed rather than
+    configured: homed (sealed-affinity) requests always bypass the cache
+    and go to their home platform, so its sealed state stays
+    authoritative; and the attested PAL charges 1 ms of simulated work
+    per request in a batch. *)
 
 val default_config : config
-(** {!Flicker_service.Fleet.default_config} underneath; capacity 1024,
-    no TTL, homed requests bypass the cache, 1 ms of work. *)
+(** {!Flicker_service.Fleet.default_config} underneath (one shard);
+    capacity 1024, no TTL. *)
 
 type t
 
@@ -44,6 +44,8 @@ val create : ?config:config -> ?warm:string list -> unit -> t
     round-robin across platforms — during provisioning (before the
     fleet's clock starts and before fault injectors are installed), so
     their results are cached and verifiable from the first request on.
+    @raise Invalid_argument if [config.fleet.shards > 1]: a sharded
+    fleet would mutate the one cache from concurrent shard drains.
     @raise Failure if warming fails. *)
 
 val fleet : t -> Flicker_service.Fleet.t

@@ -12,7 +12,6 @@ type config = {
   batch_size : int;
   policy : Dispatch.policy;
   seed : string;
-  key_bits : int;
   timing : Timing.t;
   faults : Injector.config option;
   retry_budget : int;
@@ -20,8 +19,15 @@ type config = {
   breaker_cooldown_ms : float;
   shards : int;
   domains : int;
-  epoch_ms : float;
 }
+
+(* TPM key hierarchy size for every platform and the fleet privacy CA:
+   the simulated latencies follow the calibrated model at any size, and
+   512-bit keys keep provisioning cheap *)
+let key_bits = 512
+
+(* virtual-time width of a drain window between epoch barriers *)
+let epoch_ms = 250.0
 
 let default_config =
   {
@@ -30,7 +36,6 @@ let default_config =
     batch_size = 4;
     policy = Dispatch.Least_loaded;
     seed = "fleet";
-    key_bits = 512;
     timing = Timing.default;
     faults = None;
     retry_budget = 0;
@@ -38,7 +43,6 @@ let default_config =
     breaker_cooldown_ms = 2000.0;
     shards = 1;
     domains = 1;
-    epoch_ms = 250.0;
   }
 
 let tier_index = Shard.tier_index
@@ -53,11 +57,9 @@ type t = {
   (* shared with every shard: [set_interceptor]/[add_crash_hook] after
      creation must be visible inside [Shard.drain] *)
   interceptor : (Request.t -> string option) option ref;
-  crash_hooks : (int -> unit) list ref;
-  (* which shard takes the next unconstrained request; untouched in a
-     single-shard fleet so the legacy path is byte-identical *)
+  crash_hooks : (int -> unit) Queue.t;
+  (* which shard takes the next unconstrained request *)
   route_cursor : int ref;
-  mutable now : float;
   mutable next_id : int;
   mutable submitted : int;
   submitted_by_tier : int array;  (* indexed by [tier_index] *)
@@ -95,12 +97,10 @@ let create ?(config = default_config) workload =
   if config.shards < 1 || config.shards > config.platforms then
     invalid_arg "Fleet.create: shards must be within [1, platforms]";
   if config.domains < 1 then invalid_arg "Fleet.create: need at least one domain";
-  if not (config.epoch_ms > 0.0) then
-    invalid_arg "Fleet.create: epoch_ms must be positive";
   let privacy_ca =
     Privacy_ca.create
       (Prng.create ~seed:(config.seed ^ "/privacy-ca"))
-      ~name:"FleetPrivacyCA" ~key_bits:config.key_bits
+      ~name:"FleetPrivacyCA" ~key_bits
   in
   (* platforms are built and prepared in global order, on one domain,
      regardless of the shard/domain split — construction is provisioning,
@@ -111,7 +111,7 @@ let create ?(config = default_config) workload =
         let platform =
           Platform.create
             ~seed:(Printf.sprintf "%s/platform-%d" config.seed i)
-            ~timing:config.timing ~key_bits:config.key_bits ~ca:privacy_ca ()
+            ~timing:config.timing ~key_bits ~ca:privacy_ca ()
         in
         workload.Workload.prepare platform i;
         platform)
@@ -135,7 +135,7 @@ let create ?(config = default_config) workload =
     Array.fold_left (fun acc p -> max acc (Platform.now_ms p)) 0.0 platforms
   in
   let interceptor = ref None in
-  let crash_hooks = ref [] in
+  let crash_hooks = Queue.create () in
   let params =
     {
       Shard.queue_depth = config.queue_depth;
@@ -154,8 +154,7 @@ let create ?(config = default_config) workload =
         let gstart, count =
           shard_bounds ~platforms:config.platforms ~shards:config.shards s
         in
-        Shard.create ~params ~sid:s ~gstart ~workload ~interceptor ~crash_hooks
-          ~defer_effects:(config.shards > 1) ~now
+        Shard.create ~params ~sid:s ~gstart ~workload ~interceptor ~crash_hooks ~now
           (Array.sub platforms gstart count))
   in
   {
@@ -167,7 +166,6 @@ let create ?(config = default_config) workload =
     interceptor;
     crash_hooks;
     route_cursor = ref 0;
-    now;
     next_id = 1;
     submitted = 0;
     submitted_by_tier = Array.make n_tiers 0;
@@ -181,16 +179,18 @@ let workload_name t = t.workload.Workload.name
 let verifier_key t = t.ca_key
 
 (* Live even mid-run: an interceptor's TTL check during a drain must see
-   the advancing virtual clock (with one shard, exactly the legacy
-   event-loop [now]). [t.now] is only the creation-time floor. *)
+   the advancing virtual clock. Every shard clock starts at the creation
+   time and only moves forward, so their max is the fleet's clock. *)
 let now_ms t =
-  Array.fold_left (fun acc s -> max acc (Shard.now s)) t.now t.shards
+  Array.fold_left (fun acc s -> max acc (Shard.now s)) neg_infinity t.shards
 let set_interceptor t f = t.interceptor := Some f
 let set_admission_gate t f = t.admission_gate <- Some f
-let add_crash_hook t f = t.crash_hooks := !(t.crash_hooks) @ [ f ]
+let add_crash_hook t f = Queue.add f t.crash_hooks
 
-let owning_shard t g =
-  t.shards.(shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards g)
+let shard_index t g =
+  shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards g
+
+let owning_shard t g = t.shards.(shard_index t g)
 
 let check_platform_index t ~who g =
   if g < 0 || g >= t.cfg.platforms then
@@ -219,23 +219,16 @@ let metrics t =
 (* Which shard receives an arriving request. Placement that must be
    fleet-global happens here, before any shard sees the request: homes
    go to their owner, sealed-affinity targets to the shard owning the
-   hash, and the unconstrained rest rotates round-robin over shards.
-   With one shard this always answers 0 without touching the cursor. *)
+   hash, and the unconstrained rest rotates round-robin over shards. *)
 let route t (req : Request.t) =
-  let ns = Array.length t.shards in
-  if ns = 1 then 0
-  else
-    match req.Request.home with
-    | Some h -> shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards h
-    | None -> (
-        match (t.cfg.policy, req.Request.client) with
-        | Dispatch.Sealed_affinity, Some c ->
-            shard_of_platform ~platforms:t.cfg.platforms ~shards:t.cfg.shards
-              (Dispatch.affinity_target ~client:c ~total:t.cfg.platforms)
-        | _ ->
-            let s = !(t.route_cursor) in
-            t.route_cursor := (s + 1) mod ns;
-            s)
+  match (req.Request.home, t.cfg.policy, req.Request.client) with
+  | Some h, _, _ -> shard_index t h
+  | None, Dispatch.Sealed_affinity, Some c ->
+      shard_index t (Dispatch.affinity_target ~client:c ~total:t.cfg.platforms)
+  | None, _, _ ->
+      let s = !(t.route_cursor) in
+      t.route_cursor := (s + 1) mod Array.length t.shards;
+      s
 
 let finalize0 t req disposition =
   Hashtbl.replace t.finalized0 req.Request.id (req, disposition)
@@ -304,16 +297,13 @@ let submit_open_loop t ~clients ~per_client ~mean_gap_ms ?tier ?deadline_ms ~pay
   done
 
 (* Run any crash hooks the shards logged, in canonical (crash time,
-   platform) order — one domain, outside any drain. Inline-mode shards
-   (single-shard fleets) never log, so this is a no-op there. *)
+   platform) order — one domain, outside any drain. A single shard runs
+   its hooks inline and never logs, so this is a no-op there. *)
 let flush_crash_logs t =
-  let logged =
-    Array.fold_left (fun acc s -> acc @ Shard.take_crash_log s) [] t.shards
-  in
-  let logged = List.sort compare logged in
-  List.iter
-    (fun (_, g) -> List.iter (fun hook -> hook g) !(t.crash_hooks))
-    logged
+  Array.to_list t.shards
+  |> List.concat_map Shard.take_crash_log
+  |> List.sort compare
+  |> List.iter (fun (_, g) -> Queue.iter (fun hook -> hook g) t.crash_hooks)
 
 let crash_platform t g =
   check_platform_index t ~who:"crash_platform" g;
@@ -322,15 +312,11 @@ let crash_platform t g =
      epochs), so deferred hooks can run immediately *)
   flush_crash_logs t
 
-let sync_now t =
-  t.now <-
-    Array.fold_left (fun acc s -> max acc (Shard.now s)) t.now t.shards
-
-(* The epoch loop. Each round picks the earliest pending event time
-   fleet-wide, lets every shard drain independently up to [tmin +
-   epoch_ms) (a window no cross-shard message can cut into: barrier
-   deliveries always land exactly at the window's end), then merges the
-   shards' externalized effects in canonical order:
+(* The one run loop, for any shard count. Each round picks the earliest
+   pending event time fleet-wide, lets every shard drain independently
+   up to [tmin + epoch_ms) (a window no cross-shard message can cut
+   into: barrier deliveries always land exactly at the window's end),
+   then merges the shards' externalized effects in canonical order:
 
    1. deferred crash hooks, sorted by (crash time, platform) — cache
       invalidation before any re-dispatched request can be served;
@@ -341,8 +327,12 @@ let sync_now t =
    Both merges are pure functions of shard-local histories, and each
    shard's history is a pure function of its inputs, so the whole run is
    a pure function of the config — the domain count only decides which
-   OS thread executes which shard. *)
-let run_epochs ?until_ms t =
+   OS thread executes which shard.
+
+   With one shard both merges are empty (hooks ran inline, nothing is
+   forwarded), and consecutive windows pop the same events in the same
+   order as one unbounded drain of the shard's queue. *)
+let run ?until_ms t =
   let ns = Array.length t.shards in
   let pool = Domain_pool.create (max 1 (min t.cfg.domains ns)) in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
@@ -359,7 +349,7 @@ let run_epochs ?until_ms t =
       match until_ms with Some limit -> tmin > limit | None -> tmin = infinity
     in
     if not beyond then begin
-      let stop = tmin +. t.cfg.epoch_ms in
+      let stop = tmin +. epoch_ms in
       Domain_pool.run pool (fun w ->
           Array.iteri
             (fun i s -> if i mod nd = w then Shard.drain ?until_ms ~stop_before:stop s)
@@ -380,14 +370,6 @@ let run_epochs ?until_ms t =
     end
   in
   loop ()
-
-let run ?until_ms t =
-  if Array.length t.shards = 1 then
-    (* the unsharded fast path: one timeline drained to exhaustion on
-       the calling domain, byte-identical to the pre-shard fleet *)
-    Shard.drain ?until_ms ~stop_before:infinity t.shards.(0)
-  else run_epochs ?until_ms t;
-  sync_now t
 
 let dispositions t =
   let acc = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.finalized0 [] in

@@ -24,22 +24,26 @@
 
     {2 Sharding and domains}
 
-    The fleet scales across cores by splitting its platforms into
-    [shards] contiguous windows, each owned by a {!Shard} with its own
-    event queue, metrics registry, and round-robin cursor. Shards
-    synchronize only at virtual-time {e epoch barriers}: each drains its
-    own timeline up to the epoch boundary, then the coordinator replays
-    deferred crash hooks in (time, platform) order and delivers
-    cross-shard forwarded requests in (emission time, id) order to the
-    next shard around the ring, landing exactly at the boundary.
+    The platforms are split into [shards] contiguous windows, each owned
+    by a {!Shard} with its own event queue, metrics registry, and
+    round-robin cursor. There is one run loop for every shard count.
+    Shards synchronize only at virtual-time {e epoch barriers}, 250 ms
+    of virtual time apart: each drains its own timeline up to the epoch
+    boundary, then the coordinator replays deferred crash hooks in
+    (time, platform) order and delivers cross-shard forwarded requests
+    in (emission time, id) order to the next shard around the ring,
+    landing exactly at the boundary.
+
+    A one-shard fleet (the default) is simply a fleet with one shard:
+    it has nowhere to forward to and runs its crash hooks inline, so
+    both barrier merges are empty and its windows pop the same events in
+    the same order as one unbounded drain.
 
     The shard structure — and therefore the entire simulation — is a
     pure function of the config. [domains] only chooses how many OCaml 5
     [Domain]s execute the fixed set of shards, so the same seed yields
     byte-identical results (dispositions, metrics, summaries) at any
-    domain count. With [shards = 1] (the default) the fleet takes the
-    original single-timeline path unchanged: no epochs, no forwarding,
-    crash hooks inline. *)
+    domain count. *)
 
 type config = {
   platforms : int;
@@ -47,7 +51,6 @@ type config = {
   batch_size : int;  (** max requests per dispatched batch *)
   policy : Dispatch.policy;
   seed : string;
-  key_bits : int;  (** TPM key hierarchy size for each platform *)
   timing : Flicker_hw.Timing.t;
   faults : Flicker_fault.Injector.config option;
       (** when present, each platform gets a deterministic fault injector
@@ -69,22 +72,21 @@ type config = {
       (** how many contiguous platform windows the fleet is split into
           (within [1, platforms]). Determines the simulation: routing at
           submit, epoch barriers, cross-shard forwarding. 1 — the
-          default — is the original single-timeline fleet. *)
+          default — keeps every platform on one timeline. *)
   domains : int;
       (** how many OCaml 5 domains execute the shards (clamped to
           [shards] at run time). Pure execution placement: any value
           produces byte-identical simulated results. *)
-  epoch_ms : float;
-      (** virtual-time width of a drain window between barriers in a
-          multi-shard fleet: longer epochs mean fewer synchronizations
-          but later cross-shard forwarding. Ignored when [shards = 1]. *)
 }
+(** Two sizes are fixed rather than configured: every platform's TPM
+    key hierarchy and the fleet privacy CA use 512-bit RSA keys (the
+    simulated latencies follow the calibrated model at any size), and
+    epoch barriers are 250 ms of virtual time apart. *)
 
 val default_config : config
 (** 2 platforms, queue depth 32, batch size 4, least-loaded routing,
-    seed ["fleet"], 512-bit keys, the paper's Broadcom timing profile; no
-    fault injection, no retries, breaker disabled; 1 shard on 1 domain
-    (epoch 250 ms). *)
+    seed ["fleet"], the paper's Broadcom timing profile; no fault
+    injection, no retries, breaker disabled; 1 shard on 1 domain. *)
 
 type t
 
@@ -102,7 +104,9 @@ val verifier_key : t -> Flicker_crypto.Rsa.public
     produced on any platform. *)
 
 val now_ms : t -> float
-(** Global virtual time: the timestamp of the latest processed event. *)
+(** Global virtual time: the latest of the shards' clocks. Each starts
+    at the fleet's creation time and moves to every event its shard
+    processes. *)
 
 val past_deadline : deadline_ms:float option -> at_ms:float -> bool
 (** The fleet's one deadline-boundary convention, used for both queued
@@ -193,11 +197,13 @@ val add_crash_hook : t -> (int -> unit) -> unit
     shard, but before any cross-shard delivery. *)
 
 val run : ?until_ms:float -> t -> unit
-(** Drive the event loop until every queue is drained (or past
-    [until_ms]). Re-entrant: more work can be submitted and run again,
-    virtual time keeps accumulating. A multi-shard fleet runs the epoch
-    loop on up to [config.domains] domains (spun up per call, joined
-    before returning); a single-shard fleet drains its one timeline on
+(** Drive the epoch loop until every queue is drained (or the next event
+    lies past [until_ms]). Re-entrant: more work can be submitted and run
+    again, virtual time keeps accumulating. On a one-shard fleet a run
+    sliced into [~until_ms] steps ends exactly where one uninterrupted
+    run does (with more shards the slices move the epoch barriers). The
+    shards are drained on up to [config.domains] domains (spun up per
+    call, joined before returning); with one domain everything runs on
     the calling domain. *)
 
 val dispositions : t -> (Request.t * Request.disposition) list

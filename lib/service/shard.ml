@@ -53,18 +53,13 @@ type t = {
      seen by every shard; under [domains > 1] the installed closure must
      tolerate concurrent calls from several domains *)
   interceptor : (Request.t -> string option) option ref;
-  crash_hooks : (int -> unit) list ref;
-  (* a single-shard fleet runs crash hooks inline, exactly the
-     pre-shard behavior; a sharded fleet only logs the crash here and
-     the coordinator runs the hooks at the next epoch barrier, in
-     canonical (time, platform) order, from one domain *)
-  defer_effects : bool;
+  crash_hooks : (int -> unit) Queue.t;  (* in registration order *)
   mutable crash_log : (float * int) list;  (* reversed accumulation *)
   mutable outbox : (float * Request.t) list;  (* reversed accumulation *)
 }
 
-let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks
-    ~defer_effects ~now platforms =
+let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks ~now
+    platforms =
   {
     params;
     sid;
@@ -92,18 +87,14 @@ let create ~params ~sid ~gstart ~workload ~interceptor ~crash_hooks
     now;
     interceptor;
     crash_hooks;
-    defer_effects;
     crash_log = [];
     outbox = [];
   }
 
 let sid t = t.sid
-let gstart t = t.gstart
-let count t = Array.length t.members
 let now t = t.now
 let metrics t = t.metrics
 let finalized t = t.finalized
-let owns t g = g >= t.gstart && g < t.gstart + Array.length t.members
 let member t g = t.members.(g - t.gstart)
 let platform t g = (member t g).platform
 let next_event_ms t = Event_queue.peek_ms t.events
@@ -336,8 +327,8 @@ and crash t g ~victims =
      inline only in a single-shard fleet; a sharded fleet defers them to
      the barrier, where the coordinator replays all shards' crashes in
      (time, platform) order from one domain *)
-  if t.defer_effects then t.crash_log <- (t.now, g) :: t.crash_log
-  else List.iter (fun hook -> hook g) !(t.crash_hooks);
+  if t.params.n_shards > 1 then t.crash_log <- (t.now, g) :: t.crash_log
+  else Queue.iter (fun hook -> hook g) t.crash_hooks;
   m.up <- false;
   m.busy <- false;
   m.down_until <- t.now +. reboot_ms;
@@ -403,8 +394,7 @@ and dispatch t req =
                      h;
                })
       | None ->
-          if t.params.n_shards > 1 && req.Request.forwards < t.params.n_shards - 1
-          then begin
+          if req.Request.forwards < t.params.n_shards - 1 then begin
             (* another shard may still have capacity: hand the request to
                the next shard around the ring at the epoch barrier. The
                hop budget guarantees a full circuit before giving up, so

@@ -12,10 +12,11 @@
 
     Cross-shard effects never happen mid-epoch. A shard that cannot
     place a request locally appends it to its {e outbox}; a crash in a
-    multi-shard fleet is appended to the {e crash log} instead of
-    running the fleet's hooks inline. The coordinator collects both at
-    the barrier and replays them in canonical order — see
-    {!Fleet.run}. *)
+    multi-shard fleet ([n_shards > 1]) is appended to the {e crash log}
+    instead of running the fleet's hooks inline. The coordinator
+    collects both at the barrier and replays them in canonical order —
+    see {!Fleet.run}. With one shard the outbox and the crash log stay
+    empty: there is nowhere to forward to, and hooks run inline. *)
 
 type params = {
   queue_depth : int;
@@ -26,7 +27,9 @@ type params = {
   breaker_failures : int;
   breaker_cooldown_ms : float;
   gtotal : int;  (** platforms fleet-wide, for global homes/affinity *)
-  n_shards : int;  (** bounds a request's cross-shard hop budget *)
+  n_shards : int;
+      (** bounds a request's cross-shard hop budget; above 1, crash
+          hooks are deferred to the coordinator *)
 }
 (** The slice of the fleet's config a shard needs to serve requests. *)
 
@@ -44,36 +47,30 @@ val create :
   gstart:int ->
   workload:Workload.t ->
   interceptor:(Request.t -> string option) option ref ->
-  crash_hooks:(int -> unit) list ref ->
-  defer_effects:bool ->
+  crash_hooks:(int -> unit) Queue.t ->
   now:float ->
   Flicker_core.Platform.t array ->
   t
 (** Wrap platforms [gstart, gstart + length) (already prepared by the
     fleet) as shard [sid]. [interceptor] and [crash_hooks] are shared
-    refs so hooks installed on the fleet after creation are seen here.
-    With [defer_effects] (any multi-shard fleet) crashes are logged for
-    the coordinator instead of running [crash_hooks] inline. [now] is
-    the fleet's starting virtual time. *)
+    with the fleet so hooks installed after creation are seen here; the
+    hooks run in queue (registration) order. When [params.n_shards > 1]
+    crashes are logged for the coordinator instead of running
+    [crash_hooks] inline. [now] is the fleet's starting virtual time. *)
 
 val sid : t -> int
-val gstart : t -> int
-val count : t -> int
 val now : t -> float
 (** Shard-local virtual time: the latest event this shard processed. *)
 
-val owns : t -> int -> bool
-(** Whether global platform index [g] lies in this shard's window. *)
-
 val platform : t -> int -> Flicker_core.Platform.t
-(** By global index; the caller routes via [owns]. *)
+(** By global index [g], which must lie in this shard's window. *)
 
 val platform_up : t -> int -> bool
 val crash_platform : t -> int -> unit
 (** Crash global platform [g] now (no-op when already down): volatile
     state lost, queued requests re-dispatched within their retry budget,
-    recovery scheduled. In a deferred-effects shard the fleet's crash
-    hooks are only logged — {!take_crash_log}. *)
+    recovery scheduled. In a multi-shard fleet the fleet's crash hooks
+    are only logged — {!take_crash_log}. *)
 
 val next_event_ms : t -> float option
 (** Timestamp of this shard's earliest pending event. *)
@@ -86,8 +83,7 @@ val drain : ?until_ms:float -> stop_before:float -> t -> unit
 (** Process events strictly before [stop_before] (and at most
     [until_ms], inclusive — the fleet's run bound). Touches only
     shard-owned state, so concurrent drains of distinct shards are
-    race-free; [stop_before = infinity] drains to exhaustion, the
-    single-shard fast path. *)
+    race-free. *)
 
 val take_outbox : t -> (float * Request.t) list
 (** Requests this shard could not place locally, as [(emit_ms, req)] in
@@ -111,10 +107,6 @@ val sessions : t -> int
 
 val machine_counter : t -> string -> int
 (** Sum of a per-machine counter over this shard's platforms. *)
-
-val service_estimate : t -> float
-(** Mean observed service time (ms), 200.0 before any observation —
-    where the injector's mid-session crash point lands. *)
 
 val past_deadline : deadline_ms:float option -> at_ms:float -> bool
 (** The one deadline-boundary convention (exactly at the deadline is on

@@ -16,43 +16,40 @@ type t = {
 
 (* --- echo ------------------------------------------------------------ *)
 
-(* one registered PAL; the per-request work is input data, not code *)
+(* one registered PAL; the per-request work is input data, not code.
+   Defined eagerly: a shared [lazy] is unsafe to force from two domains. *)
 let echo_pal =
-  lazy
-    (Pal.define ~name:"fleet-echo" (fun env ->
-         match Util.decode_fields env.Pal_env.inputs with
-         | Ok (work :: items) when items <> [] ->
-             (match float_of_string_opt work with
-             | Some ms when ms > 0.0 ->
-                 Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
-             | _ -> ());
-             Pal_env.set_output env
-               (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
-         | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch"))
+  Pal.define ~name:"fleet-echo" (fun env ->
+      match Util.decode_fields env.Pal_env.inputs with
+      | Ok (work :: items) when items <> [] ->
+          (match float_of_string_opt work with
+          | Some ms when ms > 0.0 ->
+              Pal_env.compute env ~ms:(ms *. float_of_int (List.length items))
+          | _ -> ());
+          Pal_env.set_output env
+            (Util.encode_fields (List.map (fun s -> "echo:" ^ s) items))
+      | Ok _ | Error _ -> Pal_env.set_output env "ERROR: malformed echo batch")
 
-(* split [requests] greedily so each chunk's encoded inputs and outputs
-   fit their 4 KB pages *)
-let echo_chunks requests =
+let page_chunks ~payload items =
   let page = Layout.io_page_size in
   let base = 4 + String.length (Printf.sprintf "%.3f" 1.0) + 16 in
-  let cost r = 4 + String.length r.Request.payload + 9 (* "echo:" + framing *) in
+  let cost item = 4 + String.length (payload item) + 9 (* "echo:" + framing *) in
   let rec take used acc = function
     | [] -> (List.rev acc, [])
-    | r :: rest ->
-        let c = cost r in
-        if acc <> [] && used + c > page then (List.rev acc, r :: rest)
-        else take (used + c) (r :: acc) rest
+    | item :: rest ->
+        let c = cost item in
+        if acc <> [] && used + c > page then (List.rev acc, item :: rest)
+        else take (used + c) (item :: acc) rest
   in
   let rec split = function
     | [] -> []
-    | rs ->
-        let chunk, rest = take base [] rs in
+    | items ->
+        let chunk, rest = take base [] items in
         chunk :: split rest
   in
-  split requests
+  split items
 
 let echo ?(work_ms = 1.0) () =
-  let pal = Lazy.force echo_pal in
   let run_chunk platform requests =
     let inputs =
       Util.encode_fields
@@ -63,7 +60,8 @@ let echo ?(work_ms = 1.0) () =
       List.map (fun _ -> Error "payload exceeds the 4 KB input page") requests
     else
       match
-        Session.retry_busy platform (fun () -> Session.execute platform ~pal ~inputs ())
+        Session.retry_busy platform (fun () ->
+            Session.execute platform ~pal:echo_pal ~inputs ())
       with
       | Error e ->
           let msg = Format.asprintf "%a" Session.pp_error e in
@@ -79,7 +77,8 @@ let echo ?(work_ms = 1.0) () =
     prepare = (fun _ _ -> ());
     run_batch =
       (fun platform requests ->
-        List.concat_map (run_chunk platform) (echo_chunks requests));
+        List.concat_map (run_chunk platform)
+          (page_chunks ~payload:(fun r -> r.Request.payload) requests));
   }
 
 (* --- certificate authority ------------------------------------------- *)
@@ -107,8 +106,7 @@ let decode_ca_output out =
           | exception Invalid_argument m -> Error ("issuer key: " ^ m)))
   | Ok _ | Error _ -> Error "malformed CA output"
 
-let ca ?(key_bits = 512) ?(issuer = "Flicker Fleet CA") ?(attest_batches = false)
-    policy =
+let ca ?(issuer = "Flicker Fleet CA") ?(attest_batches = false) policy =
   (* per-platform CA replicas, found by physical platform identity *)
   let servers : (Platform.t * CA.server) list ref = ref [] in
   let server_for platform =
@@ -118,7 +116,7 @@ let ca ?(key_bits = 512) ?(issuer = "Flicker Fleet CA") ?(attest_batches = false
   in
   let prepare platform index =
     let server =
-      CA.create platform ~key_bits
+      CA.create platform ~key_bits:512
         ~issuer:(Printf.sprintf "%s #%d" issuer index)
         policy
     in

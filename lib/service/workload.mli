@@ -29,7 +29,6 @@ val echo : ?work_ms:float -> unit -> t
     be predicted exactly. *)
 
 val ca :
-  ?key_bits:int ->
   ?issuer:string ->
   ?attest_batches:bool ->
   Flicker_apps.Cert_authority.policy ->
@@ -42,9 +41,16 @@ val ca :
     ~898 ms unseal is paid once per session instead of once per CSR.
     With [attest_batches] (default [false]) each batch additionally
     produces one TPM quote — one attestation covering the whole batch
-    instead of one per certificate. [key_bits] defaults to 512 (tests and
-    benches; the simulated latencies follow the calibrated model either
-    way). *)
+    instead of one per certificate. Each replica's signing key is 512
+    bits (the simulated latencies follow the calibrated model at any
+    size). *)
+
+val page_chunks : payload:('a -> string) -> 'a list -> 'a list list
+(** Split [items] greedily, in order, into chunks whose echo-style
+    encoded inputs and outputs each fit one 4 KB I/O page; [payload]
+    extracts an item's payload. A single oversized item gets a chunk of
+    its own. {!echo} and the serving tier ({!Flicker_serve}) batch their
+    sessions with it. *)
 
 val ca_csr_payload :
   subject:string -> subject_key:Flicker_crypto.Rsa.public -> string

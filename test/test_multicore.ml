@@ -169,8 +169,8 @@ let strip_outputs dispositions =
     dispositions
 
 let run_echo_case ~domains ~platforms ~shards ~batch ~policy ~faults
-    ~retry_budget ~breaker_failures ~epoch_ms ~clients ~per_client ~work_ms
-    ~deadline ~seed =
+    ~retry_budget ~breaker_failures ~clients ~per_client ~work_ms ~deadline
+    ~seed =
   let config =
     {
       Fleet.default_config with
@@ -184,7 +184,6 @@ let run_echo_case ~domains ~platforms ~shards ~batch ~policy ~faults
       faults;
       retry_budget;
       breaker_failures;
-      epoch_ms;
     }
   in
   let fleet = Fleet.create ~config (Workload.echo ~work_ms ()) in
@@ -291,7 +290,6 @@ let prop_domain_count_invisible =
       let faults = if faulty then Some (Injector.scaled 0.25) else None in
       let retry_budget = if faulty then 2 else 0 in
       let breaker_failures = if faulty then 2 else 0 in
-      let epoch_ms = if Prng.int_below rng 2 = 0 then 50.0 else 250.0 in
       let clients = 1 + Prng.int_below rng 3 in
       let per_client = 1 + Prng.int_below rng 4 in
       let work_ms = 10.0 +. float_of_int (Prng.int_below rng 90) in
@@ -301,8 +299,8 @@ let prop_domain_count_invisible =
       let seed = Printf.sprintf "mc-case-%d" n in
       let case ~domains =
         run_echo_case ~domains ~platforms ~shards ~batch ~policy ~faults
-          ~retry_budget ~breaker_failures ~epoch_ms ~clients ~per_client
-          ~work_ms ~deadline ~seed
+          ~retry_budget ~breaker_failures ~clients ~per_client ~work_ms
+          ~deadline ~seed
       in
       let d1, s1 = case ~domains:1 in
       let d2, s2 = case ~domains:2 in

@@ -82,7 +82,6 @@ let test_cache_remove_if () =
 
 let quick_config ?(ttl = None) ?(capacity = 64) () =
   {
-    Serve.default_config with
     Serve.fleet = { Fleet.default_config with Fleet.seed = "test-serve" };
     cache_ttl_ms = ttl;
     cache_capacity = capacity;
@@ -261,6 +260,20 @@ let test_tiered_admission () =
   Alcotest.(check bool) "interactive p95 below batch p95" true
     (ti.Fleet.t_p95_ms < tb.Fleet.t_p95_ms)
 
+(* a sharded tier would mutate the one cache from concurrent drains:
+   creation must refuse it before provisioning anything *)
+let test_sharded_tier_rejected () =
+  let config =
+    {
+      (quick_config ()) with
+      Serve.fleet =
+        { Fleet.default_config with Fleet.seed = "test-serve"; shards = 2 };
+    }
+  in
+  Alcotest.check_raises "shards > 1"
+    (Invalid_argument "Serve.create: the serving tier runs on a one-shard fleet")
+    (fun () -> ignore (Serve.create ~config ()))
+
 let () =
   Alcotest.run "serve"
     [
@@ -286,5 +299,7 @@ let () =
           Alcotest.test_case "homed requests bypass the cache" `Quick
             test_homed_requests_bypass_cache;
           Alcotest.test_case "tiered admission" `Quick test_tiered_admission;
+          Alcotest.test_case "sharded tier rejected" `Quick
+            test_sharded_tier_rejected;
         ] );
     ]

@@ -15,6 +15,7 @@ module Rsa = Flicker_crypto.Rsa
 module Pal = Flicker_slb.Pal
 module Pal_env = Flicker_slb.Pal_env
 module CA = Flicker_apps.Cert_authority
+module Injector = Flicker_fault.Injector
 
 (* --- event queue ---------------------------------------------------- *)
 
@@ -569,6 +570,81 @@ let test_retry_busy_exhaustion () =
   Alcotest.(check int) "retries counted" 2
     (Metrics.counter p.Platform.machine.Machine.metrics "session.busy_retries")
 
+(* --- one run loop ----------------------------------------------------- *)
+
+(* A one-shard fleet runs the same epoch loop as a sharded one. Cutting
+   that loop anywhere with [run ~until_ms] must not change where it ends:
+   the sliced run and one uninterrupted run agree on every disposition,
+   the summary, the clock, and what each crash hook saw. Hooks run
+   inline with one shard, so a hook deferred to the next barrier would
+   see a later clock and more finalized requests when a cut falls
+   between the crash and the window's end. *)
+let prop_sliced_run_matches_uninterrupted =
+  QCheck.Test.make ~name:"one shard: run sliced at random cuts = one run"
+    ~count:8
+    QCheck.(pair (int_bound 100_000) (list_of_size Gen.(1 -- 6) (int_bound 3000)))
+    (fun (n, cuts) ->
+      let rng = Prng.create ~seed:(Printf.sprintf "slice-prop-%d" n) in
+      let platforms = 1 + Prng.int_below rng 3 in
+      let batch_size = 1 + Prng.int_below rng 3 in
+      let work_ms = 10.0 +. float_of_int (Prng.int_below rng 90) in
+      let clients = 1 + Prng.int_below rng 4 in
+      let per_client = 2 + Prng.int_below rng 5 in
+      let config =
+        {
+          Fleet.default_config with
+          platforms;
+          batch_size;
+          queue_depth = 8;
+          seed = Printf.sprintf "slice-case-%d" n;
+          faults = Some (Injector.scaled 0.5);
+          retry_budget = 2;
+          breaker_failures = 2;
+        }
+      in
+      let case cuts =
+        let fleet = Fleet.create ~config (Workload.echo ~work_ms ()) in
+        let hooks = ref [] in
+        Fleet.add_crash_hook fleet (fun g ->
+            let finalized = List.length (Fleet.dispositions fleet) in
+            hooks := (g, Fleet.now_ms fleet, finalized) :: !hooks);
+        Fleet.submit_open_loop fleet ~clients ~per_client ~mean_gap_ms:20.0
+          ~payload:(fun ~client ~seq -> Printf.sprintf "slice-%d-%d" client seq)
+          ();
+        let start = Fleet.now_ms fleet in
+        List.iter
+          (fun c -> Fleet.run ~until_ms:(start +. float_of_int c) fleet)
+          (List.sort compare cuts);
+        Fleet.run fleet;
+        (Fleet.dispositions fleet, Fleet.summary fleet, Fleet.now_ms fleet, !hooks)
+      in
+      let d1, s1, now1, h1 = case [] in
+      let d2, s2, now2, h2 = case cuts in
+      if d1 <> d2 then QCheck.Test.fail_report "dispositions differ";
+      if s1 <> s2 then QCheck.Test.fail_report "summaries differ";
+      if now1 <> now2 then QCheck.Test.fail_report "now_ms differs";
+      if h1 <> h2 then QCheck.Test.fail_report "crash hooks fired differently";
+      true)
+
+(* --- page chunking --------------------------------------------------- *)
+
+(* pins the chunk boundaries the echo workload and the serving tier
+   batch their sessions by: a 25-byte header plus 13 bytes of framing per
+   item in a 4096-byte page fits 36 items of 100 bytes *)
+let test_page_chunks () =
+  let items = List.init 100 (fun i -> (i, String.make 100 'x')) in
+  let chunks = Workload.page_chunks ~payload:snd items in
+  Alcotest.(check (list int)) "chunk sizes" [ 36; 36; 28 ]
+    (List.map List.length chunks);
+  Alcotest.(check (list int)) "order kept" (List.map fst items)
+    (List.map fst (List.concat chunks));
+  let huge = String.make 5000 'y' in
+  Alcotest.(check (list (list string))) "an oversized item rides alone"
+    [ [ "a" ]; [ huge ]; [ "b" ] ]
+    (Workload.page_chunks ~payload:Fun.id [ "a"; huge; "b" ]);
+  Alcotest.(check int) "no items, no chunks" 0
+    (List.length (Workload.page_chunks ~payload:Fun.id []))
+
 (* --- percentile estimator ------------------------------------------- *)
 
 let test_percentile_degenerate () =
@@ -611,6 +687,8 @@ let () =
           Alcotest.test_case "batching amortization" `Quick test_batching_amortization;
           Alcotest.test_case "percentile degenerate samples" `Quick
             test_percentile_degenerate;
+          Alcotest.test_case "echo page chunker" `Quick test_page_chunks;
+          QCheck_alcotest.to_alcotest prop_sliced_run_matches_uninterrupted;
         ] );
       ( "ca-batching",
         [
