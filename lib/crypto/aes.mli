@@ -1,7 +1,16 @@
 (** AES-128/192/256 (FIPS 197) with CBC and CTR modes.
 
     Part of the paper's PAL crypto module: PALs use a fast symmetric cipher
-    on the main CPU and keep only the symmetric key in TPM sealed storage. *)
+    on the main CPU and keep only the symmetric key in TPM sealed storage.
+    The TPM simulator's Seal/Unseal use it too.
+
+    The cipher is table-driven (four 256-entry word tables per direction),
+    so its host timing is not constant-time: table indices depend on the
+    key and data. That is no change from the byte-oriented code it
+    replaced, which indexed the S-box by state and branched in [xtime].
+    This module's host speed never shows in a simulated result: the
+    simulated cost of sealing and of PAL symmetric crypto comes from
+    {!Flicker_hw.Timing} ([seal_ms], [unseal_ms], [aes_mb_per_ms]). *)
 
 type key
 
@@ -24,3 +33,9 @@ val ctr : key -> nonce:string -> string -> string
 (** Counter mode keystream XOR; encryption and decryption are the same
     operation. [nonce] must be 16 bytes (used as the initial counter
     block). *)
+
+val blocks : unit -> int
+(** 16-byte blocks through the cipher since process start (every mode;
+    a CBC call counts its padded length). Host-side instrumentation, like
+    {!Sha1.bytes_hashed}: deterministic for a given run, and never
+    touches a simulated metric. *)

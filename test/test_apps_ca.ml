@@ -153,6 +153,19 @@ let test_private_key_never_in_memory () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "junk unsealed")
 
+(* Host work of one sign-batch session, pinned: the session unseals the
+   CA state once and reseals it once, and the cipher counts each as the
+   sealed payload's padded block count. This also pins the sealed-state
+   size: a longer CA state costs more blocks. *)
+let test_batch_aes_blocks () =
+  let _, ca = make ~seed:"aes-blocks" in
+  ignore (Result.get_ok (CA.init_ca ca));
+  let csrs = List.map fresh_csr [ "a.example.com"; "b.example.com"; "c.test.org"; "d.test.org" ] in
+  let before = Aes.blocks () in
+  let certs = CA.sign_batch ca csrs in
+  Alcotest.(check int) "all signed" 4 (List.length (List.filter Result.is_ok certs));
+  Alcotest.(check int) "one unseal + one reseal of 25 blocks" (2 * 25) (Aes.blocks () - before)
+
 let test_signing_latency () =
   (* Section 7.4.2: ~906 ms per signature, dominated by unseal *)
   let p, ca = make ~seed:"latency" in
@@ -185,5 +198,6 @@ let () =
         [
           Alcotest.test_case "key isolation" `Quick test_private_key_never_in_memory;
           Alcotest.test_case "signing latency" `Quick test_signing_latency;
+          Alcotest.test_case "sign-batch AES blocks" `Quick test_batch_aes_blocks;
         ] );
     ]

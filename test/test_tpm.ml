@@ -181,6 +181,24 @@ let test_unseal_foreign_tpm () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Tpm_types.error_to_string e)
   | Ok _ -> Alcotest.fail "blob migrated between TPMs"
 
+(* Pinned blob, captured before the table-driven AES core replaced the
+   byte-oriented one: a fresh seeded TPM seals a 400-byte payload (about a
+   CA state) to a fixed PCR 17 value. Tag, IV and ciphertext must not
+   move by a byte. *)
+let test_seal_golden () =
+  let _, tpm = make_tpm () in
+  let rng = Prng.create ~seed:"seal-golden" in
+  let payload = String.init 400 (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  let blob =
+    Result.get_ok
+      (Flicker_slb.Mod_tpm_utils.seal tpm ~rng
+         ~release:[ (17, Sha1.digest "golden pcr17") ]
+         payload)
+  in
+  Alcotest.(check int) "blob length" 496 (String.length blob);
+  Alcotest.(check string) "blob sha1" "e3dff5be557314c6a8a91afe0a4409597f78aa7e"
+    (Util.to_hex (Sha1.digest blob))
+
 let test_auth_failure () =
   let _, tpm = make_tpm () in
   (* hand-roll a seal with a WRONG shared secret *)
@@ -367,6 +385,44 @@ let prop_seal_roundtrip =
       let blob = Result.get_ok (seal tpm ~release:[] data) in
       unseal tpm blob = Ok data)
 
+(* Sealed state is an input the untrusted OS hands the PAL: unseal must
+   decode it totally. Garbage is random bytes, a truncation of a real
+   blob, or a real blob with one bit flipped; every one must come back as
+   an [Error], never an exception. *)
+let garbage_target =
+  lazy
+    (let _, tpm = make_tpm () in
+     (tpm, Result.get_ok (seal tpm ~release:[] (String.make 400 's'))))
+
+let test_unseal_every_truncation () =
+  let tpm, blob = Lazy.force garbage_target in
+  Alcotest.(check bool) "whole blob unseals" true (Result.is_ok (unseal tpm blob));
+  for n = 0 to String.length blob - 1 do
+    if not (Result.is_error (unseal tpm (String.sub blob 0 n))) then
+      Alcotest.failf "truncation to %d bytes not rejected" n
+  done
+
+let prop_unseal_total =
+  let tpm, blob = Lazy.force garbage_target in
+  let len = String.length blob in
+  let flip bit =
+    let b = Bytes.of_string blob in
+    Bytes.set b (bit / 8) (Char.chr (Char.code blob.[bit / 8] lxor (1 lsl (bit mod 8))));
+    Bytes.to_string b
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size (int_range 0 600));
+          (1, map (fun n -> String.sub blob 0 n) (int_range 0 (len - 1)));
+          (2, map flip (int_range 0 ((8 * len) - 1)));
+        ])
+  in
+  QCheck.Test.make ~name:"unseal of OS-supplied garbage is always an Error" ~count:1000
+    (QCheck.make ~print:Util.to_hex gen) (fun garbage ->
+      Result.is_error (unseal tpm garbage))
+
 let prop_extend_injective =
   QCheck.Test.make ~name:"different extend values give different PCRs" ~count:100
     QCheck.(pair (string_of_size (Gen.return 20)) (string_of_size (Gen.return 20)))
@@ -402,6 +458,8 @@ let () =
           Alcotest.test_case "empty release" `Quick test_seal_empty_release;
           Alcotest.test_case "corrupt blob" `Quick test_unseal_corrupt_blob;
           Alcotest.test_case "foreign TPM" `Quick test_unseal_foreign_tpm;
+          Alcotest.test_case "sealed blob golden" `Quick test_seal_golden;
+          Alcotest.test_case "every truncation rejected" `Quick test_unseal_every_truncation;
         ] );
       ( "authorization",
         [
@@ -420,6 +478,6 @@ let () =
         ] );
       ("privacy ca", [ Alcotest.test_case "certify" `Quick test_privacy_ca ]);
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_seal_roundtrip; prop_extend_injective ]
+        List.map QCheck_alcotest.to_alcotest [ prop_seal_roundtrip; prop_unseal_total; prop_extend_injective ]
       );
     ]
