@@ -20,10 +20,9 @@ let run () =
   List.iter
     (fun (key, target) ->
       let t0 = Unix.gettimeofday () in
-      let index = Flicker_extract.Extract.index target.Rules.program in
       let findings =
-        match Rules.run ~index target with
-        | Ok fs -> fs
+        match Rules.run target with
+        | Ok a -> a.Rules.findings
         | Error msg -> failwith (Printf.sprintf "analyze %s: %s" key msg)
       in
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in

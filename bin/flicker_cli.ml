@@ -251,7 +251,8 @@ let tcb_cmd =
    extraction tool can be demonstrated without a C parser *)
 let sample_program =
   let f fname calls uses_types loc =
-    Flicker_extract.Extract.fn fname ~calls ~uses_types ~loc
+    let call callee = Flicker_extract.Extract.Call { dst = None; callee; args = [] } in
+    Flicker_extract.Extract.fn fname ~stmts:(List.map call calls) ~uses_types ~loc
   in
   {
     Flicker_extract.Extract.functions =
@@ -398,38 +399,14 @@ let analyze_run pals as_json strict out =
       let targets =
         List.sort (fun (a, _) (b, _) -> compare a b) targets
       in
-      (* one extraction index per PAL, shared by the rule run and the
-         text report instead of each re-indexing the program *)
-      let results =
-        List.map
-          (fun (key, target) ->
-            let index = Flicker_extract.Extract.index target.Rules.program in
-            match Rules.run ~index target with
-            | Ok findings -> (key, target, index, findings)
-            | Error msg ->
-                ( key,
-                  target,
-                  index,
-                  [
-                    {
-                      Rules.rule = "driver";
-                      severity = Rules.Error;
-                      subject = target.Rules.entry;
-                      location = "";
-                      message = msg;
-                    };
-                  ] ))
-          targets
-      in
-      let sarif_rows = List.map (fun (key, t, _, fs) -> (key, t, fs)) results in
+      (* one rule run per PAL: the reports read its slice and
+         abstract-interpretation result instead of recomputing them *)
+      let results = List.map (fun (key, target) -> (key, target, Rules.run target)) targets in
       let text =
-        if as_json then
-          Flicker_obs.Json.to_string (Report.sarif sarif_rows) ^ "\n"
+        if as_json then Flicker_obs.Json.to_string (Report.sarif results) ^ "\n"
         else
           String.concat "\n"
-            (List.map
-               (fun (key, t, index, fs) -> Report.to_text ~index ~key t fs)
-               results)
+            (List.map (fun (key, t, outcome) -> Report.to_text ~key t outcome) results)
       in
       (match out with
       | None -> print_string text
@@ -438,15 +415,10 @@ let analyze_run pals as_json strict out =
           output_string oc text;
           close_out oc;
           Printf.printf "analysis written to %s\n" path);
-      let errors =
-        List.fold_left (fun acc (_, _, _, fs) -> acc + Rules.errors fs) 0 results
-      in
-      let warnings =
-        List.fold_left (fun acc (_, _, _, fs) -> acc + Rules.warnings fs) 0 results
-      in
-      let failing =
-        List.exists (fun (_, _, _, fs) -> Rules.should_fail ~strict fs) results
-      in
+      let findings = List.map (fun (_, t, outcome) -> Rules.findings_of t outcome) results in
+      let errors = List.fold_left (fun acc fs -> acc + Rules.errors fs) 0 findings in
+      let warnings = List.fold_left (fun acc fs -> acc + Rules.warnings fs) 0 findings in
+      let failing = List.exists (Rules.should_fail ~strict) findings in
       if failing then begin
         if strict && errors = 0 then
           Printf.eprintf "%d warning(s) with --strict\n" warnings

@@ -19,7 +19,10 @@ module Tcb = Flicker_slb.Tcb
 (* The "existing application": a password vault with networking and
    logging around one sensitive function. *)
 let vault_program =
-  let f fname calls uses_types loc = Extract.fn fname ~calls ~uses_types ~loc in
+  let f fname calls uses_types loc =
+    let call callee = Extract.Call { dst = None; callee; args = [] } in
+    Extract.fn fname ~stmts:(List.map call calls) ~uses_types ~loc
+  in
   {
     Extract.functions =
       [

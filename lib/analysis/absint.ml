@@ -51,12 +51,10 @@ let scalars_of (f : Extract.func) =
   List.rev !acc
 
 let frame_bytes (f : Extract.func) =
-  if f.Extract.stmts = [] then opaque_frame_bytes
-  else
-    let arrays =
-      List.fold_left (fun a (_, (elems, sz)) -> a + (elems * sz)) 0 (locals_of f)
-    in
-    frame_base_bytes + arrays + (scalar_bytes * List.length (scalars_of f))
+  let arrays =
+    List.fold_left (fun a (_, (elems, sz)) -> a + (elems * sz)) 0 (locals_of f)
+  in
+  frame_base_bytes + arrays + (scalar_bytes * List.length (scalars_of f))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-PAL stack bound (work-list over the acyclic reachable graph)  *)
@@ -261,7 +259,6 @@ let ct_pass ~table g ~entry =
   let analyze_fn ~record fname =
     match func_of fname with
     | None -> ()
-    | Some f when f.Extract.stmts = [] -> ()
     | Some f ->
         let ctx = Hashtbl.find ctxs fname in
         let env0 =
@@ -310,7 +307,7 @@ let ct_pass ~table g ~entry =
                     S.public
                 | None -> (
                     match func_of callee with
-                    | Some cf when cf.Extract.stmts <> [] ->
+                    | Some _ ->
                         (match Hashtbl.find_opt ctxs callee with
                         | Some cctx ->
                             List.iteri
@@ -325,9 +322,9 @@ let ct_pass ~table g ~entry =
                               argsec
                         | None -> ());
                         Option.value (Hashtbl.find_opt rets callee) ~default:S.public
-                    | _ ->
-                        (* unclassified external or shape-only callee:
-                           assume the result reflects its arguments *)
+                    | None ->
+                        (* unclassified external: assume the result
+                           reflects its arguments *)
                         List.fold_left S.join S.public argsec)
               in
               ( (match dst with
@@ -365,14 +362,16 @@ let ct_pass ~table g ~entry =
               let pc' = S.join pc ls in
               let env = Env.set env var ls in
               let eq = Env.equal ~eq:S.equal ~default:S.public in
-              let rec fix (env, bufs) k =
+              let rec fix (env, bufs) =
                 let e', b' = exec_list pc' (env, bufs) body in
                 let e'' = Env.merge ~f:S.join ~default:S.public env e' in
                 let b'' = Env.merge ~f:S.join ~default:S.public bufs b' in
-                if k > 20 || (eq env e'' && eq bufs b'') then (e'', b'')
-                else fix (e'', b'') (k + 1)
+                if eq env e'' && eq bufs b'' then (e'', b'') else fix (e'', b'')
               in
-              fix (env, bufs) 0
+              (* terminates: the join keeps the left (older) label, so a
+                 name only ever goes public -> secret, and a round that
+                 does not converge made at least one more name secret *)
+              fix (env, bufs)
         and exec_list pc st stmts = List.fold_left (exec pc) st stmts in
         ignore (exec_list S.public (env0, Env.empty) f.Extract.stmts);
         let old = Option.value (Hashtbl.find_opt rets fname) ~default:S.public in
@@ -433,11 +432,9 @@ let analyze ~table g ~entry =
       match Callgraph.id g name with
       | None -> ()
       | Some i ->
-          let f = Callgraph.func g i in
-          if f.Extract.stmts <> [] then
-            interval_pass name f
-              ~record_violation:(fun v -> violations := v :: !violations)
-              ~record_hull)
+          interval_pass name (Callgraph.func g i)
+            ~record_violation:(fun v -> violations := v :: !violations)
+            ~record_hull)
     reach;
   let bounds = List.sort_uniq compare !violations in
   let ct = ct_pass ~table g ~entry in
@@ -507,92 +504,79 @@ module Concrete = struct
           let f = Callgraph.func g i in
           let depth = sat_add depth (frame_bytes f) in
           note depth;
-          if f.Extract.stmts = [] then begin
-            (* shape-only: visit callees in body order, no data flow *)
-            Array.iter
-              (fun c ->
-                tick ();
-                match c with
-                | Callgraph.Defined j -> ignore (call depth (Callgraph.name g j) [])
-                | Callgraph.External _ -> note (sat_add depth opaque_frame_bytes))
-              (Callgraph.calls g i);
+          let env : (string, int) Hashtbl.t = Hashtbl.create 8 in
+          let bufs : (string, int array) Hashtbl.t = Hashtbl.create 4 in
+          List.iteri
+            (fun k p ->
+              Hashtbl.replace env p (match List.nth_opt args k with Some v -> v | None -> 0))
+            f.Extract.params;
+          let record buf i within =
+            accesses := { in_function = fname; buffer = buf; index = i; within } :: !accesses
+          in
+          let rec eval = function
+            | Extract.Num n -> n
+            | Extract.Var v -> ( match Hashtbl.find_opt env v with Some v -> v | None -> 0)
+            | Extract.Bin (op, a, b) ->
+                let a = eval a in
+                let b = eval b in
+                concrete_binop op a b
+            | Extract.Load { buf; index } -> (
+                let i = eval index in
+                match Hashtbl.find_opt bufs buf with
+                | None -> 0 (* undeclared: the abstract side skips these too *)
+                | Some arr ->
+                    if i >= 0 && i < Array.length arr then begin
+                      record buf i true;
+                      arr.(i)
+                    end
+                    else begin
+                      record buf i false;
+                      0
+                    end)
+          in
+          let rec exec stmt =
+            tick ();
+            match stmt with
+            | Extract.Local { name; elems; _ } ->
+                Hashtbl.replace bufs name (Array.make (max elems 0) 0)
+            | Extract.Assign { dst; src } -> Hashtbl.replace env dst (eval src)
+            | Extract.Store { buf; index; src } -> (
+                let i = eval index in
+                let v = eval src in
+                match Hashtbl.find_opt bufs buf with
+                | None -> ()
+                | Some arr ->
+                    if i >= 0 && i < Array.length arr then begin
+                      record buf i true;
+                      arr.(i) <- v
+                    end
+                    else record buf i false)
+            | Extract.Call { dst; callee; args } ->
+                let vs = List.map eval args in
+                let r = call depth callee vs in
+                (match dst with Some d -> Hashtbl.replace env d r | None -> ())
+            | Extract.Return e -> raise (Ret (match e with Some e -> eval e | None -> 0))
+            | Extract.If { cond; then_; else_ } ->
+                if eval cond <> 0 then List.iter exec then_ else List.iter exec else_
+            | Extract.For { var; lo; hi; body } ->
+                let l = eval lo in
+                let h = eval hi in
+                if l >= h then Hashtbl.replace env var l
+                else begin
+                  let k = ref l in
+                  while !k < h do
+                    tick ();
+                    Hashtbl.replace env var !k;
+                    List.iter exec body;
+                    k := sat_add !k 1
+                  done;
+                  Hashtbl.replace env var h
+                end
+          in
+          try
+            List.iter exec f.Extract.stmts;
             0
-          end
-          else begin
-            let env : (string, int) Hashtbl.t = Hashtbl.create 8 in
-            let bufs : (string, int array) Hashtbl.t = Hashtbl.create 4 in
-            List.iteri
-              (fun k p ->
-                Hashtbl.replace env p (match List.nth_opt args k with Some v -> v | None -> 0))
-              f.Extract.params;
-            let record buf i within =
-              accesses := { in_function = fname; buffer = buf; index = i; within } :: !accesses
-            in
-            let rec eval = function
-              | Extract.Num n -> n
-              | Extract.Var v -> ( match Hashtbl.find_opt env v with Some v -> v | None -> 0)
-              | Extract.Bin (op, a, b) ->
-                  let a = eval a in
-                  let b = eval b in
-                  concrete_binop op a b
-              | Extract.Load { buf; index } -> (
-                  let i = eval index in
-                  match Hashtbl.find_opt bufs buf with
-                  | None -> 0 (* undeclared: the abstract side skips these too *)
-                  | Some arr ->
-                      if i >= 0 && i < Array.length arr then begin
-                        record buf i true;
-                        arr.(i)
-                      end
-                      else begin
-                        record buf i false;
-                        0
-                      end)
-            in
-            let rec exec stmt =
-              tick ();
-              match stmt with
-              | Extract.Local { name; elems; _ } ->
-                  Hashtbl.replace bufs name (Array.make (max elems 0) 0)
-              | Extract.Assign { dst; src } -> Hashtbl.replace env dst (eval src)
-              | Extract.Store { buf; index; src } -> (
-                  let i = eval index in
-                  let v = eval src in
-                  match Hashtbl.find_opt bufs buf with
-                  | None -> ()
-                  | Some arr ->
-                      if i >= 0 && i < Array.length arr then begin
-                        record buf i true;
-                        arr.(i) <- v
-                      end
-                      else record buf i false)
-              | Extract.Call { dst; callee; args } ->
-                  let vs = List.map eval args in
-                  let r = call depth callee vs in
-                  (match dst with Some d -> Hashtbl.replace env d r | None -> ())
-              | Extract.Return e -> raise (Ret (match e with Some e -> eval e | None -> 0))
-              | Extract.If { cond; then_; else_ } ->
-                  if eval cond <> 0 then List.iter exec then_ else List.iter exec else_
-              | Extract.For { var; lo; hi; body } ->
-                  let l = eval lo in
-                  let h = eval hi in
-                  if l >= h then Hashtbl.replace env var l
-                  else begin
-                    let k = ref l in
-                    while !k < h do
-                      tick ();
-                      Hashtbl.replace env var !k;
-                      List.iter exec body;
-                      k := sat_add !k 1
-                    done;
-                    Hashtbl.replace env var h
-                  end
-            in
-            try
-              List.iter exec f.Extract.stmts;
-              0
-            with Ret v -> v
-          end
+          with Ret v -> v
     in
     let out_of_fuel =
       try

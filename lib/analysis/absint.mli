@@ -17,20 +17,18 @@
       apply: a function annotated as a {!Effects.Sanitizer} declassifies
       its result at every call site.
 
-    Functions with an empty [stmts] list (shape-only IR) are opaque:
-    they cost a fixed conservative frame, return public values, and
-    contribute no findings — the pre-mini-IR behavior. *)
+    Every defined function is analyzed through its body; only external
+    callees (stdlib, TPM and PAL primitives) are opaque. *)
 
 module Extract = Flicker_extract.Extract
 
 val opaque_frame_bytes : int
-(** Conservative frame charged for externals and shape-only functions
-    (matches the rules layer's historical per-frame heuristic). *)
+(** Conservative frame charged for an external callee, whose body the
+    program does not carry. *)
 
 val frame_bytes : Extract.func -> int
 (** Worst-case frame: base bookkeeping + declared local arrays + one
-    word per distinct scalar (parameters and assignment/loop targets);
-    [opaque_frame_bytes] for shape-only functions. *)
+    word per distinct scalar (parameters and assignment/loop targets). *)
 
 type stack_bound = Bounded of int | Unbounded
 
@@ -79,7 +77,7 @@ val analyze : table:Effects.table -> Callgraph.t -> entry:string -> result
     buffer index must fall inside {!analyze}'s abstractions. Arithmetic
     saturates at the int boundaries (mirroring the interval transfer
     functions), division/modulo by zero yield 0, uninitialized scalars
-    read 0, externals and shape-only callees return 0. *)
+    read 0, externals return 0. *)
 module Concrete : sig
   type access = {
     in_function : string;

@@ -24,9 +24,9 @@ let reason_line (fi : Rules.finding) =
     Printf.sprintf "%s %s @ %s: %s" fi.Rules.rule fi.Rules.subject fi.Rules.location
       fi.Rules.message
 
-let evaluate ?(strict = false) ?index ~key (target : Rules.target) =
+let evaluate ?(strict = false) ~key (target : Rules.target) =
   let pal_name = target.Rules.pal.Flicker_slb.Pal.name in
-  match Rules.run ?index target with
+  match Rules.run target with
   | Error msg ->
       {
         key;
@@ -37,15 +37,9 @@ let evaluate ?(strict = false) ?index ~key (target : Rules.target) =
         stack_bytes = None;
         reasons = [ Printf.sprintf "driver %s: %s" target.Rules.entry msg ];
       }
-  | Ok findings ->
+  | Ok { Rules.findings; absint; _ } ->
       let stack_bytes =
-        let r =
-          Absint.analyze
-            ~table:(Effects.make target.Rules.effects)
-            (Callgraph.build target.Rules.program)
-            ~entry:target.Rules.entry
-        in
-        match r.Absint.stack with
+        match absint.Absint.stack with
         | Absint.Bounded b -> Some b
         | Absint.Unbounded -> None
       in

@@ -19,12 +19,12 @@ type verdict = {
 
 val evaluate :
   ?strict:bool ->
-  ?index:Flicker_extract.Extract.index ->
   key:string ->
   Rules.target ->
   verdict
-(** Run {!Rules.run} and fold the findings into a verdict via
-    {!Rules.should_fail} (with [strict], warnings block too). A target
+(** Run {!Rules.run} and fold its findings and proved stack bound into
+    a verdict via {!Rules.should_fail} (with [strict], warnings block
+    too). A target
     whose entry is not defined fails with the driver error as the
     reason. *)
 

@@ -287,8 +287,8 @@ let cert_authority () =
 let stack_hog_pal = lazy (Pal.define ~name:"planted-stack-hog" (fun _ -> ()))
 
 (* every frame fits, but the chain pal_main -> compress_block ->
-   huffman_emit sums past the 4 KB PAL stack; the old 128-bytes/frame
-   depth heuristic stays silent at depth 3 *)
+   huffman_emit sums past the 4 KB PAL stack: only a bound composed
+   from real frame sizes catches it, not a call depth of 3 *)
 let stack_hog () =
   {
     Rules.pal = Lazy.force stack_hog_pal;

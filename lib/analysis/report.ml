@@ -6,12 +6,6 @@ module Extract = Flicker_extract.Extract
 
 let slb_limit () = Layout.max_pal_code ~slb_core_size:Slb_core.core_size
 
-let absint_of (target : Rules.target) =
-  Absint.analyze
-    ~table:(Effects.make target.Rules.effects)
-    (Callgraph.build target.Rules.program)
-    ~entry:target.Rules.entry
-
 let ct_findings findings =
   List.length
     (List.filter
@@ -26,7 +20,8 @@ let module_names pal =
 
 (* Deterministic per-PAL text report; the golden regression fixtures
    under test/golden/ are exactly this output. *)
-let to_text ?index ~key (target : Rules.target) findings =
+let to_text ~key (target : Rules.target) outcome =
+  let findings = Rules.findings_of target outcome in
   let buf = Buffer.create 512 in
   let pal = target.Rules.pal in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -37,13 +32,12 @@ let to_text ?index ~key (target : Rules.target) findings =
     target.Rules.budget_loc
     (String.length (Pal.linked_code pal))
     (slb_limit ());
-  (match Extract.extract ?index target.Rules.program ~target:target.Rules.entry with
-  | Ok e ->
+  (match outcome with
+  | Ok { Rules.extraction = e; absint = r; _ } ->
       add "slice:    %d functions, %d LOC, %d types\n"
         (List.length e.Extract.required_functions)
         e.Extract.extracted_loc
         (List.length e.Extract.required_types);
-      let r = absint_of target in
       (match r.Absint.stack with
       | Absint.Unbounded ->
           add "stack:    unbounded (recursive call cycle) of %d bytes\n"
@@ -126,7 +120,8 @@ let sarif results =
       ( "runs",
         J.List
           (List.map
-             (fun (key, (target : Rules.target), findings) ->
+             (fun (key, (target : Rules.target), outcome) ->
+               let findings = Rules.findings_of target outcome in
                let pal = target.Rules.pal in
                J.Obj
                  [
@@ -155,9 +150,12 @@ let sarif results =
                          ("warnings", J.Int (Rules.count Rules.Warning findings));
                          ( "worst_stack_bytes",
                            J.Int
-                             (match (absint_of target).Absint.stack with
-                             | Absint.Bounded b -> b
-                             | Absint.Unbounded -> -1) );
+                             (match outcome with
+                             | Ok a -> (
+                                 match a.Rules.absint.Absint.stack with
+                                 | Absint.Bounded b -> b
+                                 | Absint.Unbounded -> -1)
+                             | Error _ -> 0 (* no entry: nothing on the stack *)) );
                          ("stack_limit_bytes", J.Int Layout.stack_size);
                          ("ct_findings", J.Int (ct_findings findings));
                        ] );

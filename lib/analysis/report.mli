@@ -6,16 +6,14 @@
     constant-time finding count ([ct_findings]). *)
 
 val to_text :
-  ?index:Flicker_extract.Extract.index ->
-  key:string ->
-  Rules.target ->
-  Rules.finding list ->
-  string
-(** [index] is a prebuilt index over [target.program], shared with the
-    {!Rules.run} call that produced [findings]; without it the slice
-    line re-indexes the program from scratch. *)
+  key:string -> Rules.target -> (Rules.analysis, string) result -> string
+(** The report of one {!Rules.run} outcome. The slice and stack lines
+    read the run's own extraction and {!Absint} result; a failed run
+    prints its [driver] finding (see {!Rules.findings_of}). *)
 
-val sarif : (string * Rules.target * Rules.finding list) list -> Flicker_obs.Json.t
+val sarif :
+  (string * Rules.target * (Rules.analysis, string) result) list ->
+  Flicker_obs.Json.t
 
 val slb_limit : unit -> int
 (** Bytes available to linked PAL code inside the 64 KB SLB region. *)

@@ -29,15 +29,10 @@ type ctx = {
   graph : Callgraph.t;
   extraction : Extract.extraction;
   table : Effects.table;
-  absint : Absint.result Lazy.t;
-      (* both abstract-interpretation clients, forced on first use *)
+  absint : Absint.result;
 }
 
 type rule = { id : string; title : string; severity : severity; check : ctx -> finding list }
-
-(* estimated worst-case frame: saved registers + a small locals window,
-   conservative for the freestanding C a PAL is built from *)
-let frame_bytes = 128
 
 (* Which optional modules a module itself depends on: the utilities sit
    on the driver; the secure channel generates, seals, and uses keys. *)
@@ -82,34 +77,6 @@ let recursion_rule =
                 }
             else None)
           (Callgraph.recursive_groups ctx.graph));
-  }
-
-let stack_depth_rule =
-  {
-    id = "stack-depth";
-    title = "worst-case call depth approaches the PAL stack";
-    severity = Warning;
-    check =
-      (fun ctx ->
-        match Callgraph.max_depth ctx.graph ~root:ctx.target.entry with
-        | None -> [] (* unbounded: the recursion rule already fired *)
-        | Some depth ->
-            let worst = depth * frame_bytes in
-            if worst > Layout.stack_size then
-              [
-                {
-                  rule = "stack-depth";
-                  severity = Warning;
-                  subject = ctx.target.entry;
-                  location = "";
-                  message =
-                    Printf.sprintf
-                      "worst-case call depth %d (~%d bytes at %d bytes/frame) exceeds \
-                       the %d-byte PAL stack"
-                      depth worst frame_bytes Layout.stack_size;
-                };
-              ]
-            else []);
   }
 
 let secret_leak_rule =
@@ -375,7 +342,7 @@ let stack_bound_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
+        let r = ctx.absint in
         match r.Absint.stack with
         | Absint.Unbounded -> [] (* the recursion rule already fired *)
         | Absint.Bounded bytes when bytes > Layout.stack_size ->
@@ -403,7 +370,7 @@ let buffer_bounds_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
+        let r = ctx.absint in
         List.map
           (fun (v : Absint.bounds_violation) ->
             {
@@ -450,7 +417,7 @@ let secret_branch_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
+        let r = ctx.absint in
         List.filter_map
           (fun (v : Absint.ct_violation) ->
             match v.Absint.kind with
@@ -466,7 +433,7 @@ let secret_index_rule =
     severity = Error;
     check =
       (fun ctx ->
-        let r = Lazy.force ctx.absint in
+        let r = ctx.absint in
         List.filter_map
           (fun (v : Absint.ct_violation) ->
             match v.Absint.kind with
@@ -512,7 +479,6 @@ let duplicate_definition_rule =
 let rules =
   [
     recursion_rule;
-    stack_depth_rule;
     stack_bound_rule;
     buffer_bounds_rule;
     secret_branch_rule;
@@ -532,11 +498,8 @@ let rules =
 
 let find_rule id = List.find_opt (fun r -> r.id = id) rules
 
-let make_ctx ?index target =
-  let index =
-    match index with Some i -> i | None -> Extract.index target.program
-  in
-  match Extract.extract ~index target.program ~target:target.entry with
+let make_ctx target =
+  match Extract.extract target.program ~target:target.entry with
   | Result.Error msg -> Result.Error msg
   | Result.Ok extraction ->
       let graph = Callgraph.build target.program in
@@ -547,7 +510,7 @@ let make_ctx ?index target =
           graph;
           extraction;
           table;
-          absint = lazy (Absint.analyze ~table graph ~entry:target.entry);
+          absint = Absint.analyze ~table graph ~entry:target.entry;
         }
 
 (* canonical export order: rule id, then function (subject), then
@@ -564,12 +527,36 @@ let compare_findings (a : finding) (b : finding) =
       | c -> c)
   | c -> c
 
-let run ?index target =
-  match make_ctx ?index target with
+type analysis = {
+  findings : finding list;
+  extraction : Extract.extraction;
+  absint : Absint.result;
+}
+
+let run target =
+  match make_ctx target with
   | Result.Error msg -> Result.Error msg
   | Result.Ok ctx ->
       let findings = List.concat_map (fun r -> r.check ctx) rules in
-      Result.Ok (List.stable_sort compare_findings findings)
+      Result.Ok
+        {
+          findings = List.stable_sort compare_findings findings;
+          extraction = ctx.extraction;
+          absint = ctx.absint;
+        }
+
+let findings_of target = function
+  | Result.Ok a -> a.findings
+  | Result.Error msg ->
+      [
+        {
+          rule = "driver";
+          severity = Error;
+          subject = target.entry;
+          location = "";
+          message = msg;
+        };
+      ]
 
 let count sev findings =
   List.length (List.filter (fun (f : finding) -> f.severity = sev) findings)

@@ -3,13 +3,14 @@
     A [target] pairs a registered {!Flicker_slb.Pal.t} with the
     extraction-IR program modeling its code, the entry function, a
     declared TCB budget, and per-PAL effects annotations. [run] slices
-    the program, builds the call graph, and evaluates every rule,
-    returning findings in the canonical export order (rule id, then
-    subject function, then location).
+    the program, builds the call graph, runs {!Absint} once, and
+    evaluates every rule, returning findings in the canonical export
+    order (rule id, then subject function, then location) together with
+    the slice and the abstract-interpretation result, so reports never
+    recompute them.
 
-    Rule classes (the ISSUE's six, plus supporting ones):
+    Call-graph, secret-flow and TCB classes:
     - [recursion] (error): call cycles on the fixed 4 KB PAL stack
-    - [stack-depth] (warning): deep acyclic chains nearing the stack
     - [secret-leak] (error): source->sink flow with no sanitizer
     - [missing-zeroize] (error): secrets not erased before teardown
     - [tcb-budget] (error): [Pal.total_loc] over the declared budget
@@ -23,7 +24,7 @@
 
     Abstract-interpretation-backed classes (proofs over {!Absint}):
     - [stack-bound] (error): proved worst-case stack over the 4 KB PAL
-      stack, with the deepest call chain
+      stack, with the deepest call chain — the one stack check
     - [buffer-bounds] (error): abstract buffer index escapes the
       declared element count
     - [secret-branch] (error): branch condition or loop bound
@@ -63,9 +64,7 @@ type ctx = {
   graph : Callgraph.t;
   extraction : Extract.extraction;
   table : Effects.table;
-  absint : Absint.result Lazy.t;
-      (** shared abstract-interpretation results, forced by the first
-          rule that needs them *)
+  absint : Absint.result;  (** shared by every Absint-backed rule *)
 }
 
 type rule = { id : string; title : string; severity : severity; check : ctx -> finding list }
@@ -80,12 +79,19 @@ val module_requires : Pal.module_kind -> Pal.module_kind list
 val implied_modules : Extract.extraction -> Pal.module_kind list
 (** [suggested_modules] closed under {!module_requires}. *)
 
-val run : ?index:Extract.index -> target -> (finding list, string) result
+type analysis = {
+  findings : finding list;  (** in {!compare_findings} order *)
+  extraction : Extract.extraction;  (** the entry's slice *)
+  absint : Absint.result;  (** the one abstract-interpretation run *)
+}
+
+val run : target -> (analysis, string) result
 (** Evaluate every rule. [Error] only when the entry function is not
-    defined in the program. [index] is a prebuilt {!Extract.index} over
-    [target.program]; pass it when analyzing several PALs that share one
-    program so the per-run slice reuses the index instead of rebuilding
-    it (the CLI's [analyze] and the analysis bench do this). *)
+    defined in the program. *)
+
+val findings_of : target -> (analysis, string) result -> finding list
+(** The run's findings; an [Error] becomes one error-severity [driver]
+    finding on the entry. *)
 
 val compare_findings : finding -> finding -> int
 (** The canonical export order: (rule id, subject, location, message). *)

@@ -3,8 +3,19 @@
     Flags every path on which a secret source's output can reach a sink
     with no sanitizer in between — the static form of the paper's rule
     that secrets must be sealed or encrypted before they leave the SLB.
-    Bodies are ordered call sequences, so "sanitize, then output" and
-    "output, then sanitize" are distinguished. *)
+    A body is read as its ordered call sequence
+    ({!Flicker_extract.Extract.calls_of_stmts}), so "sanitize, then
+    output" and "output, then sanitize" are distinguished.
+
+    This pass stays separate from {!Absint}'s data-flow secrecy lattice
+    because the two answer different questions. This one asks an
+    ordering question about the session: has a sanitizer run between
+    the last secret source and each sink? Absint asks a dependence
+    question about values: could this branch, bound or index depend on
+    a secret? A seal does not make its argument public, so they
+    disagree on [x = TPM_Unseal(); TPM_Seal(x); pal_output_write(x)]:
+    clean here by call order, while [x] is still secret by data flow.
+    Each answer is the right one for the rule that uses it. *)
 
 type leak = {
   in_function : string;  (** where the tainted sink call happens *)

@@ -20,7 +20,6 @@ type stmt =
 type func = {
   fname : string;
   params : string list;
-  calls : string list;
   uses_types : string list;
   stmts : stmt list;
   body : string;
@@ -43,18 +42,13 @@ let calls_of_stmts stmts =
   List.iter walk stmts;
   List.rev !acc
 
-let fn ?(params = []) ?calls ?(uses_types = []) ?(stmts = []) ?body ?(loc = 1) fname =
-  let calls =
-    match calls with
-    | Some cs -> cs
-    | None -> ( match stmts with [] -> [] | _ -> calls_of_stmts stmts)
-  in
+let fn ?(params = []) ?(uses_types = []) ?(stmts = []) ?body ?(loc = 1) fname =
   let body =
     match body with
     | Some b -> b
     | None -> Printf.sprintf "/* %s: %d LOC */" fname loc
   in
-  { fname; params; calls; uses_types; stmts; body; loc }
+  { fname; params; uses_types; stmts; body; loc }
 
 type typedef = { tname : string; type_depends : string list; definition : string }
 type program = { functions : func list; types : typedef list }
@@ -157,7 +151,7 @@ let extract ?index:idx program ~target =
           Hashtbl.replace visited name ();
           match lookup name with
           | Some f ->
-              List.iter visit f.calls;
+              List.iter visit (calls_of_stmts f.stmts);
               ordered := f :: !ordered
           | None -> (
               match stdlib_advice name with

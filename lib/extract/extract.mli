@@ -17,9 +17,9 @@
     locals and parameters, fixed-size local arrays, guarded branches,
     and counted [for] loops whose bounds are evaluated once on entry
     (CIL normalizes loops it can bound into exactly this shape). The
-    abstract-interpretation passes in [lib/analysis] run over these;
-    functions may instead carry an empty [stmts] list and remain
-    "shape-only" (call list + LOC), the pre-mini-IR representation. *)
+    slicer, the call graph, and the abstract-interpretation passes in
+    [lib/analysis] all run over these bodies: a function's callees are
+    the [Call] statements of its body, nothing else. *)
 
 type binop = Add | Sub | Mul | Div | Mod | Band | Eq | Ne | Lt | Le
 (** [Div]/[Mod] by zero evaluate to 0 (total semantics; CIL would have
@@ -50,33 +50,31 @@ type stmt =
 type func = {
   fname : string;
   params : string list;  (** scalar parameters, in call order *)
-  calls : string list;  (** callees, by name; unknown names are stdlib *)
   uses_types : string list;
   stmts : stmt list;
-      (** structured body; [[]] means shape-only (calls + LOC only) *)
+      (** structured body; its [Call]s name the callees (unknown names
+          are stdlib) *)
   body : string;  (** source text, carried into the extraction *)
   loc : int;  (** lines of code *)
 }
 
 val calls_of_stmts : stmt list -> string list
 (** Callee names in pre-order evaluation order (branch arms after the
-    condition, then-arm first; loop bodies once), duplicates preserved —
-    the [calls] list a statement body implies. Keeping [calls] equal to
-    this keeps the slicer, call graph, and order-sensitive taint pass
-    consistent with the structured body. *)
+    condition, then-arm first; loop bodies once), duplicates preserved.
+    The slicer, the call graph, and the order-sensitive taint pass all
+    take a function's callees from this, so they agree with the
+    structured body by construction. *)
 
 val fn :
   ?params:string list ->
-  ?calls:string list ->
   ?uses_types:string list ->
   ?stmts:stmt list ->
   ?body:string ->
   ?loc:int ->
   string ->
   func
-(** [fn name] builds a function definition. When [stmts] is given and
-    [calls] is not, [calls] defaults to [calls_of_stmts stmts]; [body]
-    defaults to a comment carrying the name and LOC. *)
+(** [fn name] builds a function definition; [body] defaults to a
+    comment carrying the name and LOC. *)
 
 type typedef = {
   tname : string;

@@ -117,7 +117,7 @@ let ample ~por trans monitors =
     | _ -> trans
 
 let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
-    ?dma_probes ?adversary ?sessions ?(por = true) variant =
+    ?adversary ?sessions ?(por = true) variant =
   let visited = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let enqueue node =
@@ -132,7 +132,7 @@ let run ?(automata = Automata.all) ?(max_states = 50_000) ?(max_depth = 96)
   in
   enqueue
     {
-      mstate = Model.initial ?adversary ?sessions ?dma_probes variant;
+      mstate = Model.initial ?adversary ?sessions variant;
       monitors = List.map (fun a -> (a, Automata.start a)) automata;
       rev_path = [];
       node_depth = 0;

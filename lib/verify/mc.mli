@@ -49,14 +49,13 @@ val run :
   ?automata:Automata.t list ->
   ?max_states:int ->
   ?max_depth:int ->
-  ?dma_probes:int ->
   ?adversary:Adversary.config ->
   ?sessions:int ->
   ?por:bool ->
   Model.variant ->
   result
-(** Check one session variant. [adversary] / [sessions] / [dma_probes]
-    are forwarded to {!Model.initial}; [por] (default true) enables the
+(** Check one session variant. [adversary] and [sessions] are
+    forwarded to {!Model.initial}; [por] (default true) enables the
     partial-order reduction. Defaults: all automata, 50 000 states,
     depth 96. [Verified] with [stats.truncated = false] means the full
     (reduced) product space was explored with no automaton rejecting. *)

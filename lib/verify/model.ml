@@ -355,22 +355,16 @@ let apply m (ev : Event.t) =
 
 let apply_all m evs = List.fold_left apply m evs
 
-let initial ?adversary ?sessions ?dma_probes variant =
-  let cfg =
-    match (adversary, dma_probes) with
-    | Some cfg, _ -> cfg
-    | None, Some n -> { Adversary.default with Adversary.dma_probes = n }
-    | None, None -> Adversary.default
-  in
+let initial ?(adversary = Adversary.default) ?sessions variant =
   let sessions =
     match sessions with Some n -> max 1 n | None -> default_sessions variant
   in
   {
     variant;
     sessions;
-    cfg;
+    cfg = adversary;
     pc = 0;
-    budgets = Adversary.budgets_of cfg;
+    budgets = Adversary.budgets_of adversary;
     m =
       {
         dev = None;

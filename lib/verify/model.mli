@@ -79,12 +79,9 @@ val intended_adversary : variant -> Adversary.config * int
 type state
 
 val initial :
-  ?adversary:Adversary.config -> ?sessions:int -> ?dma_probes:int ->
-  variant -> state
+  ?adversary:Adversary.config -> ?sessions:int -> variant -> state
 (** [adversary] defaults to {!Adversary.default} (DMA only, two
-    probes); [dma_probes] is the PR-4 compatibility knob and is ignored
-    when [adversary] is given. [sessions] defaults to
-    {!default_sessions}. *)
+    probes). [sessions] defaults to {!default_sessions}. *)
 
 type footprint
 (** Read/write sets over machine variables plus event visibility. *)

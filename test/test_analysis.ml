@@ -14,7 +14,11 @@ module Dispatch = Flicker_service.Dispatch
 module Workload = Flicker_service.Workload
 module Interval = Domains.Interval
 
-let f fname calls loc = Extract.fn fname ~calls ~loc
+(* a function whose body is its call list, as bare calls in order *)
+let f fname calls loc =
+  Extract.fn fname
+    ~stmts:(List.map (fun callee -> Extract.Call { dst = None; callee; args = [] }) calls)
+    ~loc
 
 let program functions = { Extract.functions; types = [] }
 
@@ -32,7 +36,8 @@ let target ?(budget = 10_000) ?(effects = []) ?pal ~entry functions =
     effects;
   }
 
-let run_ok t = match Rules.run t with Ok fs -> fs | Error e -> Alcotest.fail e
+let analysis_ok t = match Rules.run t with Ok a -> a | Error e -> Alcotest.fail e
+let run_ok t = (analysis_ok t).Rules.findings
 
 let rules_fired findings = List.sort_uniq compare (List.map (fun fi -> fi.Rules.rule) findings)
 let fired rule findings = List.exists (fun fi -> fi.Rules.rule = rule) findings
@@ -49,9 +54,15 @@ let test_reachable () =
   Alcotest.(check (list string)) "unknown root" [] (Callgraph.reachable g ~root:"nope")
 
 let test_depth () =
+  (* the deepest chain is the proved stack bound's witness: three
+     bare-call frames of 32 bytes through the diamond, one at a leaf *)
   let g = Callgraph.build (program diamond) in
-  Alcotest.(check (option int)) "diamond depth" (Some 3) (Callgraph.max_depth g ~root:"a");
-  Alcotest.(check (option int)) "leaf depth" (Some 1) (Callgraph.max_depth g ~root:"d")
+  let stack root = Absint.analyze ~table:(Effects.default ()) g ~entry:root in
+  let a = stack "a" and d = stack "d" in
+  Alcotest.(check (list string)) "diamond chain" [ "a"; "b"; "d" ] a.Absint.worst_chain;
+  Alcotest.(check bool) "diamond bound" true (a.Absint.stack = Absint.Bounded 96);
+  Alcotest.(check (list string)) "leaf chain" [ "d" ] d.Absint.worst_chain;
+  Alcotest.(check bool) "leaf bound" true (d.Absint.stack = Absint.Bounded 32)
 
 let test_recursion_detection () =
   let g =
@@ -62,8 +73,7 @@ let test_recursion_detection () =
   let groups = List.map (List.sort compare) (Callgraph.recursive_groups g) in
   Alcotest.(check bool) "mutual cycle" true (List.mem [ "even"; "odd" ] groups);
   Alcotest.(check bool) "self loop" true (List.mem [ "lone" ] groups);
-  Alcotest.(check bool) "recursion from top" true (Callgraph.has_recursion_from g ~root:"top");
-  Alcotest.(check (option int)) "depth unbounded" None (Callgraph.max_depth g ~root:"top")
+  Alcotest.(check bool) "recursion from top" true (Callgraph.has_recursion_from g ~root:"top")
 
 (* --- taint pass --- *)
 
@@ -185,7 +195,8 @@ let test_rule_missing_zeroize () =
   Alcotest.(check bool) "zeroize satisfies" false (fired "missing-zeroize" fs)
 
 let test_rule_stack_depth () =
-  let n = (Layout.stack_size / 128) + 5 in
+  (* a bare-call frame is 32 bytes: five frames past 4 KB / 32 overflow *)
+  let n = (Layout.stack_size / 32) + 5 in
   let chain =
     List.init n (fun i ->
         f (Printf.sprintf "f%d" i)
@@ -193,7 +204,8 @@ let test_rule_stack_depth () =
           1)
   in
   let fs = run_ok (target ~entry:"f0" chain) in
-  Alcotest.(check bool) "deep chain warns" true (fired "stack-depth" fs)
+  Alcotest.(check (list string)) "deep chain overflows" [ "stack-bound" ] (rules_fired fs);
+  Alcotest.(check int) "one error" 1 (Rules.errors fs)
 
 let test_rule_dead_function () =
   let fs = run_ok (target ~entry:"m" [ f "m" [] 1; f "orphan" [] 1 ]) in
@@ -262,15 +274,7 @@ let absint_of ?(effects = []) functions ~entry =
     (Callgraph.build (program functions))
     ~entry
 
-let absint_target (t : Rules.target) =
-  Absint.analyze
-    ~table:(Effects.make t.Rules.effects)
-    (Callgraph.build t.Rules.program)
-    ~entry:t.Rules.entry
-
 let test_frame_bytes () =
-  Alcotest.(check int) "shape-only is opaque" Absint.opaque_frame_bytes
-    (Absint.frame_bytes (f "s" [ "x" ] 1));
   let with_body =
     Extract.fn ~params:[ "a"; "b" ]
       ~stmts:
@@ -432,6 +436,43 @@ let test_ct_loop_bound () =
   Alcotest.(check bool) "secret loop bound flagged" true
     (List.exists (fun v -> v.Absint.kind = Absint.Loop_bound) r.Absint.ct)
 
+let test_ct_loop_fixpoint () =
+  (* a secret crosses the loop body one assignment per iteration: the
+     chain x(k) = x(k-1) is written last-link-first, so x(n) turns secret
+     only on pass n — the fixpoint must run until it converges, however
+     many passes that takes *)
+  let x k = Printf.sprintf "x%d" k in
+  let chain links =
+    [
+      unseal (x 0);
+      Extract.For
+        {
+          var = "i";
+          lo = Extract.Num 0;
+          hi = Extract.Num 4;
+          body =
+            List.init links (fun i ->
+                let k = links - i in
+                Extract.Assign { dst = x k; src = Extract.Var (x (k - 1)) });
+        };
+      Extract.If { cond = Extract.Var (x links); then_ = []; else_ = [] };
+    ]
+  in
+  List.iter
+    (fun links ->
+      let r = absint_of [ Extract.fn ~stmts:(chain links) "m" ] ~entry:"m" in
+      match r.Absint.ct with
+      | [ v ] ->
+          Alcotest.(check bool) (Printf.sprintf "%d links: branch" links) true
+            (v.Absint.kind = Absint.Branch);
+          Alcotest.(check string) (Printf.sprintf "%d links: source" links) "TPM_Unseal"
+            v.Absint.source
+      | vs ->
+          Alcotest.fail
+            (Printf.sprintf "%d links: expected one ct violation, got %d" links
+               (List.length vs)))
+    [ 22; 23; 40 ]
+
 let test_ct_interprocedural () =
   (* the secret crosses a call boundary as an argument; the branch is in
      the callee *)
@@ -471,14 +512,14 @@ let test_ct_interprocedural () =
 
 let test_planted_stack_hog () =
   let t = Models.stack_hog () in
-  let fs = run_ok t in
+  let { Rules.findings = fs; absint; _ } = analysis_ok t in
   Alcotest.(check (list string)) "only stack-bound fires" [ "stack-bound" ] (rules_fired fs);
   Alcotest.(check int) "one error" 1 (Rules.errors fs);
   let fi = List.hd fs in
   Alcotest.(check string) "names the entry" "pal_main" fi.Rules.subject;
   Alcotest.(check string) "names the overflowing chain"
     "pal_main -> compress_block -> huffman_emit" fi.Rules.location;
-  match (absint_target t).Absint.stack with
+  match absint.Absint.stack with
   | Absint.Bounded b ->
       Alcotest.(check int) "proved bound" 4424 b;
       Alcotest.(check bool) "over the 4 KB stack" true (b > Layout.stack_size)
@@ -486,7 +527,7 @@ let test_planted_stack_hog () =
 
 let test_planted_secret_branch () =
   let t = Models.secret_branch () in
-  let fs = run_ok t in
+  let { Rules.findings = fs; absint = r; _ } = analysis_ok t in
   Alcotest.(check (list string)) "both ct rules fire"
     [ "secret-branch"; "secret-index" ] (rules_fired fs);
   Alcotest.(check int) "two errors" 2 (Rules.errors fs);
@@ -496,7 +537,6 @@ let test_planted_secret_branch () =
   Alcotest.(check (list string)) "branch in auth_main" [ "auth_main" ] (subjects "secret-branch");
   Alcotest.(check (list string)) "index in pin_compare" [ "pin_compare" ]
     (subjects "secret-index");
-  let r = absint_target t in
   Alcotest.(check bool) "every violation traces to TPM_Unseal" true
     (r.Absint.ct <> [] && List.for_all (fun v -> v.Absint.source = "TPM_Unseal") r.Absint.ct);
   (* its stack is fine — only the constant-time lint complains *)
@@ -584,15 +624,14 @@ let test_golden key () =
   match Models.find key with
   | None -> Alcotest.fail ("unknown model " ^ key)
   | Some t ->
-      let fs = run_ok t in
       let expected = read_file (Filename.concat "golden" (key ^ ".txt")) in
-      Alcotest.(check string) (key ^ " report") expected (Report.to_text ~key t fs)
+      Alcotest.(check string) (key ^ " report") expected (Report.to_text ~key t (Rules.run t))
 
 (* --- SARIF export --- *)
 
 let test_sarif_roundtrip () =
   let results =
-    List.map (fun (key, t) -> (key, t, run_ok t)) (Models.all ())
+    List.map (fun (key, t) -> (key, t, Rules.run t)) (Models.all ())
   in
   let doc = Flicker_obs.Json.to_string (Report.sarif results) in
   match Flicker_obs.Json.of_string doc with
@@ -626,37 +665,33 @@ let gen_program externals =
 let print_program p =
   String.concat "; "
     (List.map
-       (fun fn -> fn.Extract.fname ^ "->[" ^ String.concat "," fn.Extract.calls ^ "]")
+       (fun fn ->
+         fn.Extract.fname ^ "->["
+         ^ String.concat "," (Extract.calls_of_stmts fn.Extract.stmts)
+         ^ "]")
        p.Extract.functions)
 
 let arb_program externals = QCheck.make ~print:print_program (gen_program externals)
 
-let prop_slice_equals_reachable =
-  QCheck.Test.make ~name:"extraction slice = call-graph reachable set" ~count:200
-    (arb_program [ "printf"; "malloc"; "mystery_helper" ])
-    (fun p ->
-      match Extract.extract p ~target:"f0" with
-      | Error e -> QCheck.Test.fail_report e
-      | Ok e ->
-          let slice =
-            List.sort compare (List.map (fun fn -> fn.Extract.fname) e.Extract.required_functions)
-          in
-          let reach = List.sort compare (Callgraph.reachable (Callgraph.build p) ~root:"f0") in
-          slice = reach)
-
+(* seal right before every output-page write, at any nesting depth *)
 let add_sanitizers p =
+  let rec seal_outputs stmts =
+    List.concat_map
+      (function
+        | Extract.Call { callee = "pal_output_write"; args; _ } as s ->
+            [ Extract.Call { dst = None; callee = "TPM_Seal"; args }; s ]
+        | Extract.If { cond; then_; else_ } ->
+            [ Extract.If { cond; then_ = seal_outputs then_; else_ = seal_outputs else_ } ]
+        | Extract.For { var; lo; hi; body } ->
+            [ Extract.For { var; lo; hi; body = seal_outputs body } ]
+        | s -> [ s ])
+      stmts
+  in
   {
     p with
     Extract.functions =
       List.map
-        (fun fn ->
-          {
-            fn with
-            Extract.calls =
-              List.concat_map
-                (fun c -> if c = "pal_output_write" then [ "TPM_Seal"; c ] else [ c ])
-                fn.Extract.calls;
-          })
+        (fun fn -> { fn with Extract.stmts = seal_outputs fn.Extract.stmts })
         p.Extract.functions;
   }
 
@@ -781,9 +816,27 @@ let print_stmt_program p =
        (fun fn ->
          Printf.sprintf "%s(%s)->[%s] %d stmts" fn.Extract.fname
            (String.concat "," fn.Extract.params)
-           (String.concat "," fn.Extract.calls)
+           (String.concat "," (Extract.calls_of_stmts fn.Extract.stmts))
            (List.length fn.Extract.stmts))
        p.Extract.functions)
+
+let slice_is_reachable p ~entry =
+  match Extract.extract p ~target:entry with
+  | Error _ -> false
+  | Ok e ->
+      let slice =
+        List.sort compare (List.map (fun fn -> fn.Extract.fname) e.Extract.required_functions)
+      in
+      slice = List.sort compare (Callgraph.reachable (Callgraph.build p) ~root:entry)
+
+(* flat call lists (cycles, externals) and statement bodies (branches,
+   loops, calls with arguments) both slice to exactly the reachable set *)
+let prop_slice_equals_reachable =
+  QCheck.Test.make ~name:"extraction slice = call-graph reachable set" ~count:200
+    (QCheck.pair
+       (arb_program [ "printf"; "malloc"; "mystery_helper" ])
+       (QCheck.make ~print:print_stmt_program gen_stmt_program))
+    (fun (p, q) -> slice_is_reachable p ~entry:"f0" && slice_is_reachable q ~entry:"g0")
 
 let prop_absint_soundness =
   QCheck.Test.make ~name:"concrete runs stay inside the abstract envelope" ~count:200
@@ -857,6 +910,7 @@ let () =
           Alcotest.test_case "interval bounds" `Quick test_interval_bounds;
           Alcotest.test_case "ct branch + override" `Quick test_ct_branch_and_override;
           Alcotest.test_case "ct loop bound" `Quick test_ct_loop_bound;
+          Alcotest.test_case "ct loop fixpoint" `Quick test_ct_loop_fixpoint;
           Alcotest.test_case "ct interprocedural" `Quick test_ct_interprocedural;
         ] );
       ( "planted PALs",

@@ -4,37 +4,41 @@
 open Flicker_extract
 module Pal = Flicker_slb.Pal
 
+(* a body of bare calls, in order *)
+let calls callees =
+  List.map (fun callee -> Extract.Call { dst = None; callee; args = [] }) callees
+
 (* A miniature OpenSSH-like program: the target is the password check,
    buried in a server with networking and logging around it. *)
 let sshd =
   {
     Extract.functions =
       [
-        Extract.fn "main" ~calls:[ "socket"; "accept_loop" ]
+        Extract.fn "main" ~stmts:(calls [ "socket"; "accept_loop" ])
           ~uses_types:[ "server_config" ] ~body:"int main(void) { ... }" ~loc:30;
-        Extract.fn "accept_loop" ~calls:[ "recv"; "handle_auth"; "printf" ]
+        Extract.fn "accept_loop" ~stmts:(calls [ "recv"; "handle_auth"; "printf" ])
           ~uses_types:[ "connection" ]
           ~body:"static void accept_loop(void) { ... }" ~loc:60;
-        Extract.fn "handle_auth" ~calls:[ "check_password"; "log_attempt" ]
+        Extract.fn "handle_auth" ~stmts:(calls [ "check_password"; "log_attempt" ])
           ~uses_types:[ "connection"; "auth_ctxt" ]
           ~body:"static int handle_auth(connection *c) { ... }" ~loc:40;
-        Extract.fn "check_password" ~calls:[ "md5crypt"; "constant_time_eq"; "malloc" ]
+        Extract.fn "check_password" ~stmts:(calls [ "md5crypt"; "constant_time_eq"; "malloc" ])
           ~uses_types:[ "auth_ctxt"; "passwd_entry" ]
           ~body:"int check_password(auth_ctxt *a, const char *pw) { ... }" ~loc:25;
-        Extract.fn "md5crypt" ~calls:[ "md5_init"; "md5_update"; "memcpy" ]
+        Extract.fn "md5crypt" ~stmts:(calls [ "md5_init"; "md5_update"; "memcpy" ])
           ~uses_types:[ "md5_ctx" ]
           ~body:"char *md5crypt(const char *salt, const char *pw) { ... }" ~loc:120;
         Extract.fn "md5_init" ~uses_types:[ "md5_ctx" ]
           ~body:"void md5_init(md5_ctx *c) { ... }" ~loc:10;
-        Extract.fn "md5_update" ~calls:[ "memcpy" ] ~uses_types:[ "md5_ctx" ]
+        Extract.fn "md5_update" ~stmts:(calls [ "memcpy" ]) ~uses_types:[ "md5_ctx" ]
           ~body:"void md5_update(md5_ctx *c, ...) { ... }" ~loc:35;
         Extract.fn "constant_time_eq"
           ~body:"int constant_time_eq(const char *a, const char *b) { ... }" ~loc:8;
-        Extract.fn "log_attempt" ~calls:[ "fprintf" ]
+        Extract.fn "log_attempt" ~stmts:(calls [ "fprintf" ])
           ~body:"static void log_attempt(...) { ... }" ~loc:12;
         (* mutual recursion, to exercise cycle handling *)
-        Extract.fn "even" ~calls:[ "odd" ] ~body:"int even(int n) { ... }" ~loc:3;
-        Extract.fn "odd" ~calls:[ "even" ] ~body:"int odd(int n) { ... }" ~loc:3;
+        Extract.fn "even" ~stmts:(calls [ "odd" ]) ~body:"int even(int n) { ... }" ~loc:3;
+        Extract.fn "odd" ~stmts:(calls [ "even" ]) ~body:"int odd(int n) { ... }" ~loc:3;
       ];
     types =
       [
@@ -157,7 +161,7 @@ let test_unresolved_reported () =
   let prog =
     {
       Extract.functions =
-        [ Extract.fn "f" ~calls:[ "mystery_helper" ] ~body:"void f(void) {}" ~loc:2 ];
+        [ Extract.fn "f" ~stmts:(calls [ "mystery_helper" ]) ~body:"void f(void) {}" ~loc:2 ];
       types = [];
     }
   in

@@ -442,7 +442,8 @@ let test_mc_queue_stays_deduped () =
   (* enqueue-time dedup: with a large probe budget the frontier must
      stay bounded by the distinct-state count instead of filling with
      duplicate nodes reached along commuting probe interleavings *)
-  let r = V.Mc.run ~dma_probes:6 ~por:false V.Model.Good in
+  let adversary = { V.Adversary.default with dma_probes = 6 } in
+  let r = V.Mc.run ~adversary ~por:false V.Model.Good in
   let s = r.V.Mc.stats in
   Alcotest.(check bool) "verified" true (r.V.Mc.outcome = V.Mc.Verified);
   Alcotest.(check bool) "peak queue bounded by states" true
